@@ -6,11 +6,17 @@
 //! the replacement cost, and bookkeeping.
 
 use placeless_core::cacheability::Cacheability;
+use placeless_core::id::DocumentId;
 use placeless_core::verifier::Verifier;
 use placeless_simenv::Instant;
 
-/// Metadata for one resident `(document, user)` entry.
+/// Metadata for one resident entry: a `(document, user)` version or an
+/// intermediate stage output.
 pub struct EntryMeta {
+    /// The document the entry belongs to: the one it renders, or for a
+    /// stage output the one whose read walk filled it. Document-scoped
+    /// invalidation drops the entry with this document.
+    pub doc: DocumentId,
     /// Verifiers executed on every hit.
     pub verifiers: Vec<Box<dyn Verifier>>,
     /// How the entry may be served.
@@ -37,6 +43,7 @@ pub struct EntryMeta {
 impl EntryMeta {
     /// Creates entry metadata.
     pub fn new(
+        doc: DocumentId,
         verifiers: Vec<Box<dyn Verifier>>,
         cacheability: Cacheability,
         cost_micros: f64,
@@ -44,6 +51,7 @@ impl EntryMeta {
         filled_at: Instant,
     ) -> Self {
         Self {
+            doc,
             verifiers,
             cacheability,
             cost_micros,
@@ -65,6 +73,7 @@ impl EntryMeta {
 impl std::fmt::Debug for EntryMeta {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EntryMeta")
+            .field("doc", &self.doc)
             .field("verifiers", &self.verifiers.len())
             .field("cacheability", &self.cacheability)
             .field("cost_micros", &self.cost_micros)
@@ -83,6 +92,7 @@ mod tests {
     #[test]
     fn verify_cost_sums_probes() {
         let meta = EntryMeta::new(
+            DocumentId(1),
             vec![
                 ClosureVerifier::new("a", 3, |_| Validity::Valid),
                 ClosureVerifier::new("b", 7, |_| Validity::Valid),
@@ -100,6 +110,7 @@ mod tests {
     #[test]
     fn debug_does_not_require_verifier_debug() {
         let meta = EntryMeta::new(
+            DocumentId(1),
             vec![],
             Cacheability::CacheableWithEvents,
             0.0,

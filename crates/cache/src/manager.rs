@@ -697,8 +697,62 @@ struct DirtyEntry {
 struct Shard {
     sigs: HashMap<EntryKey, Signature>,
     meta: HashMap<EntryKey, EntryMeta>,
+    /// `meta`'s keys grouped by [`EntryMeta::doc`], exactly: every key of
+    /// `meta` is in its document's set, nothing else is, and no set is
+    /// empty. Document-scoped invalidation reads it instead of scanning.
+    by_doc: HashMap<DocumentId, HashSet<EntryKey>>,
     policy: Box<dyn ReplacementPolicy>,
     dirty: HashMap<EntryKey, DirtyEntry>,
+}
+
+impl Shard {
+    /// Inserts `meta` under `key`, keeping `by_doc` exact, and returns
+    /// the metadata it replaced.
+    fn insert_meta(&mut self, key: EntryKey, meta: EntryMeta) -> Option<EntryMeta> {
+        let doc = meta.doc;
+        let old = self.meta.insert(key, meta);
+        if let Some(old) = &old {
+            self.unindex(old.doc, key);
+        }
+        self.by_doc.entry(doc).or_default().insert(key);
+        old
+    }
+
+    /// Removes `key`'s metadata, keeping `by_doc` exact.
+    fn remove_meta(&mut self, key: EntryKey) -> Option<EntryMeta> {
+        let meta = self.meta.remove(&key)?;
+        self.unindex(meta.doc, key);
+        Some(meta)
+    }
+
+    fn unindex(&mut self, doc: DocumentId, key: EntryKey) {
+        if let Some(keys) = self.by_doc.get_mut(&doc) {
+            keys.remove(&key);
+            if keys.is_empty() {
+                self.by_doc.remove(&doc);
+            }
+        }
+    }
+
+    /// Checks that `by_doc` is exactly `meta`'s keys grouped by document
+    /// and that `sigs` binds content to exactly `meta`'s keys.
+    fn check_doc_index(&self) -> std::result::Result<(), String> {
+        let mut grouped: HashMap<DocumentId, HashSet<EntryKey>> = HashMap::new();
+        for (key, meta) in &self.meta {
+            grouped.entry(meta.doc).or_default().insert(*key);
+        }
+        let bound: HashSet<&EntryKey> = self.sigs.keys().collect();
+        if bound != self.meta.keys().collect() {
+            return Err(format!("content bound to {bound:?}, entries {grouped:?}"));
+        }
+        if grouped != self.by_doc {
+            return Err(format!(
+                "document index {:?} != resident keys by document {grouped:?}",
+                self.by_doc
+            ));
+        }
+        Ok(())
+    }
 }
 
 use crate::digest::Signature;
@@ -818,6 +872,7 @@ impl DocumentCache {
                 Mutex::new(Shard {
                     sigs: HashMap::new(),
                     meta: HashMap::new(),
+                    by_doc: HashMap::new(),
                     policy: config.policy.build(),
                     dirty: HashMap::new(),
                 })
@@ -1101,33 +1156,27 @@ impl DocumentCache {
     /// Removes an entry for a non-eviction reason (invalidation), telling
     /// the policy. Returns `true` if the entry existed.
     fn drop_entry(&self, shard: &mut Shard, key: EntryKey) -> bool {
-        let existed = match shard.sigs.remove(&key) {
+        let existed = self.drop_victim(shard, key);
+        shard.policy.on_remove(key);
+        existed
+    }
+
+    /// Removes an entry the policy already chose (and forgot) as an
+    /// eviction victim. Returns `true` if the entry existed.
+    fn drop_victim(&self, shard: &mut Shard, victim: EntryKey) -> bool {
+        let existed = match shard.sigs.remove(&victim) {
             Some(sig) => {
                 self.store.release(sig);
                 true
             }
             None => false,
         };
-        if let Some(meta) = shard.meta.remove(&key) {
-            if key.is_stage() {
-                AtomicCacheStats::sub(&self.stats.stage_bytes, meta.size);
-            }
-        }
-        shard.policy.on_remove(key);
-        existed
-    }
-
-    /// Removes an entry the policy already chose (and forgot) as an
-    /// eviction victim.
-    fn drop_victim(&self, shard: &mut Shard, victim: EntryKey) {
-        if let Some(sig) = shard.sigs.remove(&victim) {
-            self.store.release(sig);
-        }
-        if let Some(meta) = shard.meta.remove(&victim) {
+        if let Some(meta) = shard.remove_meta(victim) {
             if victim.is_stage() {
                 AtomicCacheStats::sub(&self.stats.stage_bytes, meta.size);
             }
         }
+        existed
     }
 
     /// Evicts one entry from some *other* shard to make room, probing
@@ -2112,6 +2161,7 @@ impl DocumentCache {
             // intermediate: provider fetch plus the chain prefix up to and
             // including this stage.
             self.fill_stage(
+                plan.doc,
                 stage_sig,
                 output.bytes.clone(),
                 Some(output.content_sig),
@@ -2139,11 +2189,19 @@ impl DocumentCache {
 
     /// Inserts an intermediate stage output under its stage signature,
     /// competing for residency like any other entry but tagged
-    /// [`STAGE_PIN_LEVEL`] so cost-aware policies discount it.
-    /// `content_sig` is the output's already-computed digest (the
-    /// streaming executor folds it as the chunks flow), sparing the
-    /// install a second full pass over the bytes.
-    fn fill_stage(&self, sig: Signature, bytes: Bytes, content_sig: Option<Signature>, cost: f64) {
+    /// [`STAGE_PIN_LEVEL`] so cost-aware policies discount it. `doc` is
+    /// the document whose walk computed it; the entry is invalidated with
+    /// that document. `content_sig` is the output's already-computed
+    /// digest (the streaming executor folds it as the chunks flow),
+    /// sparing the install a second full pass over the bytes.
+    fn fill_stage(
+        &self,
+        doc: DocumentId,
+        sig: Signature,
+        bytes: Bytes,
+        content_sig: Option<Signature>,
+        cost: f64,
+    ) {
         // Brownout rung 2: under sustained pressure the output is still
         // computed and served, but not persisted — stage-cache churn is
         // pure overhead when the cache is fighting for its life.
@@ -2158,6 +2216,7 @@ impl DocumentCache {
             return;
         }
         let meta = EntryMeta::new(
+            doc,
             Vec::new(),
             Cacheability::Unrestricted,
             cost,
@@ -2245,6 +2304,7 @@ impl DocumentCache {
     ) {
         let clock = self.space.clock();
         let mut meta = EntryMeta::new(
+            key.doc().expect("final versions are keyed by document"),
             report.verifiers,
             report.cacheability,
             report.cost.effective_micros(),
@@ -2277,15 +2337,14 @@ impl DocumentCache {
         let cost = meta.cost_micros;
         let pinned = meta.pinned;
         // A re-fill over an existing binding releases the old content.
-        if let Some(old) = shard.sigs.remove(&key) {
+        let old_sig = shard.sigs.remove(&key);
+        let old_meta = shard.insert_meta(key, meta);
+        if let Some(old) = old_sig {
             self.store.release(old);
-            if key.is_stage() {
-                if let Some(old_meta) = shard.meta.get(&key) {
-                    AtomicCacheStats::sub(&self.stats.stage_bytes, old_meta.size);
-                }
+            if let (true, Some(old_meta)) = (key.is_stage(), old_meta) {
+                AtomicCacheStats::sub(&self.stats.stage_bytes, old_meta.size);
             }
         }
-        shard.meta.insert(key, meta);
         let attrs = EntryAttrs::new(size, cost).with_pin_level(pin_level);
         if pinned {
             // Pinned entries never enter the policy, so they can never be
@@ -2326,7 +2385,7 @@ impl DocumentCache {
                                 shard.policy.on_insert(key, &attrs);
                                 continue;
                             }
-                            shard.meta.remove(&key);
+                            shard.remove_meta(key);
                             AtomicCacheStats::bump(&self.stats.evictions);
                             return;
                         }
@@ -2335,7 +2394,7 @@ impl DocumentCache {
                     } else if !self.steal_one(index) {
                         // Nothing evictable anywhere (everything pinned):
                         // serve without caching rather than overshoot.
-                        shard.meta.remove(&key);
+                        shard.remove_meta(key);
                         return;
                     }
                 }
@@ -3216,25 +3275,39 @@ impl DocumentCache {
         self.journal.as_ref()
     }
 
-    /// Drops every resident version of `doc`, sweeping the shards one at
-    /// a time (no two shard locks are ever held together).
-    fn invalidate_doc(&self, doc: DocumentId) {
+    /// Drops every resident entry of `doc`: its per-user versions and the
+    /// stage outputs its walks filled, which are unreachable once the
+    /// source changes (their signatures chain from the old root). Each
+    /// shard's document index names the keys, so the cost follows the
+    /// document, not the cache; shards are locked one at a time. Returns
+    /// the number of versions dropped.
+    fn invalidate_doc(&self, doc: DocumentId) -> u64 {
         // Hygiene, not correctness: both lease halves self-validate on use
         // (chain epoch, root verifier), but a doc-wide invalidation makes
         // them unlikely to validate again — free the memory now.
         self.leases.lock().remove(&doc);
+        let mut versions = 0;
         for mutex in self.shards.iter() {
             let mut shard = mutex.lock();
-            let keys: Vec<EntryKey> = shard
-                .sigs
-                .keys()
-                .filter(|key| key.doc() == Some(doc))
-                .copied()
-                .collect();
+            let Some(keys) = shard.by_doc.remove(&doc) else {
+                continue;
+            };
             for key in keys {
-                self.drop_entry(&mut shard, key);
+                if self.drop_entry(&mut shard, key) && !key.is_stage() {
+                    versions += 1;
+                }
             }
         }
+        versions
+    }
+
+    /// Checks every shard's document index against its resident entries,
+    /// naming the first mismatch. For tests.
+    #[doc(hidden)]
+    pub fn check_doc_index(&self) -> std::result::Result<(), String> {
+        self.shards
+            .iter()
+            .try_for_each(|shard| shard.lock().check_doc_index())
     }
 
     fn handle_invalidation(&self, invalidation: &Invalidation) {
@@ -3249,21 +3322,8 @@ impl DocumentCache {
                 }
             }
             Invalidation::Document(doc) => {
-                self.leases.lock().remove(&doc);
-                for mutex in self.shards.iter() {
-                    let mut shard = mutex.lock();
-                    let keys: Vec<EntryKey> = shard
-                        .sigs
-                        .keys()
-                        .filter(|key| key.doc() == Some(doc))
-                        .copied()
-                        .collect();
-                    for key in keys {
-                        if self.drop_entry(&mut shard, key) {
-                            AtomicCacheStats::bump(&self.stats.notifier_invalidations);
-                        }
-                    }
-                }
+                let versions = self.invalidate_doc(doc);
+                AtomicCacheStats::add(&self.stats.notifier_invalidations, versions);
             }
         }
     }

@@ -44,10 +44,10 @@ pub enum EntryKey {
 
 impl EntryKey {
     /// Returns the document this entry renders, for [`EntryKey::Version`]
-    /// keys. Stage entries return `None`: they are content-addressed and
-    /// deliberately *not* tied to a document, so document-scoped
-    /// invalidation passes over them (a stale stage entry is unreachable —
-    /// its signature chain no longer resolves — rather than served).
+    /// keys. Stage entries return `None`: a content-addressed key names no
+    /// document. The cache records the document whose walk filled a stage
+    /// entry beside it, and document-scoped invalidation drops the entry
+    /// with that document.
     pub fn doc(&self) -> Option<DocumentId> {
         match self {
             EntryKey::Version(doc, _) => Some(*doc),

@@ -7,7 +7,7 @@
 //! reference and are seen only by its owner.
 
 use crate::bitprovider::BitProvider;
-use crate::id::{DocumentId, UserId};
+use crate::id::DocumentId;
 use crate::property::PropertyList;
 use std::sync::Arc;
 
@@ -39,26 +39,12 @@ impl BaseDocument {
     }
 }
 
-/// One user's personalized view of a base document.
+/// One user's personalized view of a base document. The space files it
+/// under its document and owner, so it carries neither.
+#[derive(Default)]
 pub struct DocumentReference {
-    /// The owning user.
-    pub owner: UserId,
-    /// The base document this reference points at.
-    pub doc: DocumentId,
     /// Personal properties, seen only by the owner.
     pub personal: PropertyList,
-}
-
-impl DocumentReference {
-    /// Creates a reference for `owner` pointing at `doc`, with no
-    /// properties.
-    pub fn new(owner: UserId, doc: DocumentId) -> Self {
-        Self {
-            owner,
-            doc,
-            personal: PropertyList::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -86,11 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn references_are_per_user() {
-        let r1 = DocumentReference::new(UserId(1), DocumentId(9));
-        let r2 = DocumentReference::new(UserId(2), DocumentId(9));
-        assert_eq!(r1.doc, r2.doc);
-        assert_ne!(r1.owner, r2.owner);
-        assert!(r1.personal.is_empty());
+    fn references_start_without_personal_properties() {
+        assert!(DocumentReference::default().personal.is_empty());
     }
 }

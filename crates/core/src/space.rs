@@ -32,7 +32,7 @@ use crate::streams::{
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use placeless_simenv::{LatencyModel, VirtualClock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,7 +91,28 @@ impl Scope {
 
 struct Inner {
     bases: HashMap<DocumentId, BaseDocument>,
-    refs: HashMap<(UserId, DocumentId), DocumentReference>,
+    /// References per document, in user-id order, so document-scoped
+    /// reads (event dispatch, users, deletion) touch only that document's
+    /// references and visit them in the same order on every run.
+    refs: HashMap<DocumentId, BTreeMap<UserId, DocumentReference>>,
+}
+
+impl Inner {
+    fn reference(&self, user: UserId, doc: DocumentId) -> Option<&DocumentReference> {
+        self.refs.get(&doc)?.get(&user)
+    }
+
+    fn reference_mut(&mut self, user: UserId, doc: DocumentId) -> Option<&mut DocumentReference> {
+        self.refs.get_mut(&doc)?.get_mut(&user)
+    }
+
+    /// Returns the users holding references to `doc`, in id order.
+    fn users_of(&self, doc: DocumentId) -> Vec<UserId> {
+        self.refs
+            .get(&doc)
+            .map(|refs| refs.keys().copied().collect())
+            .unwrap_or_default()
+    }
 }
 
 /// The Placeless Documents middleware.
@@ -191,7 +212,9 @@ impl DocumentSpace {
         inner.bases.insert(id, BaseDocument::new(id, provider));
         inner
             .refs
-            .insert((owner, id), DocumentReference::new(owner, id));
+            .entry(id)
+            .or_default()
+            .insert(owner, DocumentReference::default());
         id
     }
 
@@ -201,16 +224,13 @@ impl DocumentSpace {
         if !inner.bases.contains_key(&doc) {
             return Err(PlacelessError::NoSuchDocument(doc));
         }
-        inner
-            .refs
-            .entry((user, doc))
-            .or_insert_with(|| DocumentReference::new(user, doc));
+        inner.refs.entry(doc).or_default().entry(user).or_default();
         Ok(())
     }
 
     /// Returns `true` if `user` holds a reference to `doc`.
     pub fn has_reference(&self, user: UserId, doc: DocumentId) -> bool {
-        self.inner.read().refs.contains_key(&(user, doc))
+        self.inner.read().reference(user, doc).is_some()
     }
 
     /// Returns the ids of all documents in the space.
@@ -222,22 +242,19 @@ impl DocumentSpace {
 
     /// Returns the users holding references to `doc`.
     pub fn users_of(&self, doc: DocumentId) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self
-            .inner
-            .read()
-            .refs
-            .keys()
-            .filter(|(_, d)| *d == doc)
-            .map(|(u, _)| *u)
-            .collect();
-        users.sort();
-        users
+        self.inner.read().users_of(doc)
     }
 
     /// Drops `user`'s reference to `doc` (personal properties included).
     /// The user's cached versions are invalidated through the bus.
     pub fn remove_reference(&self, user: UserId, doc: DocumentId) -> Result<()> {
-        let removed = self.inner.write().refs.remove(&(user, doc)).is_some();
+        let removed = self
+            .inner
+            .write()
+            .refs
+            .get_mut(&doc)
+            .and_then(|refs| refs.remove(&user))
+            .is_some();
         if !removed {
             return Err(PlacelessError::NoSuchReference(user, doc));
         }
@@ -254,7 +271,7 @@ impl DocumentSpace {
             if inner.bases.remove(&doc).is_none() {
                 return Err(PlacelessError::NoSuchDocument(doc));
             }
-            inner.refs.retain(|(_, d), _| *d != doc);
+            inner.refs.remove(&doc);
         }
         for name in self.collections.collections_of(doc) {
             self.collections.remove(&name, doc);
@@ -272,8 +289,7 @@ impl DocumentSpace {
             .get(&doc)
             .ok_or(PlacelessError::NoSuchDocument(doc))?;
         let reference = inner
-            .refs
-            .get(&(user, doc))
+            .reference(user, doc)
             .ok_or(PlacelessError::NoSuchReference(user, doc))?;
         let info = |slot: &crate::property::PropertySlot| PropertyInfo {
             id: slot.id,
@@ -281,18 +297,11 @@ impl DocumentSpace {
             active: slot.prop.as_active().is_some(),
             value: slot.prop.as_static().map(|v| v.to_string()),
         };
-        let mut users: Vec<UserId> = inner
-            .refs
-            .keys()
-            .filter(|(_, d)| *d == doc)
-            .map(|(u, _)| *u)
-            .collect();
-        users.sort();
         Ok(DocumentDescription {
             doc,
             user,
             provider: base.provider.describe(),
-            users,
+            users: inner.users_of(doc),
             universal: base.universal.iter().map(info).collect(),
             personal: reference.personal.iter().map(info).collect(),
             collections: self.collections.collections_of(doc),
@@ -503,7 +512,7 @@ impl DocumentSpace {
         name: &str,
     ) -> Option<PropertyValue> {
         let inner = self.inner.read();
-        if let Some(r) = inner.refs.get(&(user, doc)) {
+        if let Some(r) = inner.reference(user, doc) {
             if let Some(v) = r.personal.static_value(name) {
                 return Some(v.clone());
             }
@@ -531,8 +540,7 @@ impl DocumentSpace {
             }
             Scope::Personal(u) => {
                 &inner
-                    .refs
-                    .get(&(u, doc))
+                    .reference(u, doc)
                     .ok_or(PlacelessError::NoSuchReference(u, doc))?
                     .personal
             }
@@ -556,8 +564,7 @@ impl DocumentSpace {
                 .ok_or(PlacelessError::NoSuchDocument(doc))?
                 .universal),
             Scope::Personal(user) => Ok(&mut inner
-                .refs
-                .get_mut(&(user, doc))
+                .reference_mut(user, doc)
                 .ok_or(PlacelessError::NoSuchReference(user, doc))?
                 .personal),
         }
@@ -629,8 +636,7 @@ impl DocumentSpace {
                 .get(&doc)
                 .ok_or(PlacelessError::NoSuchDocument(doc))?;
             let reference = inner
-                .refs
-                .get(&(user, doc))
+                .reference(user, doc)
                 .ok_or(PlacelessError::NoSuchReference(user, doc))?;
             // Personal values shadow universal ones, so they come first.
             let personal_pairs = reference.personal.static_pairs();
@@ -979,8 +985,7 @@ impl DocumentSpace {
                 .get(&doc)
                 .ok_or(PlacelessError::NoSuchDocument(doc))?;
             let reference = inner
-                .refs
-                .get(&(user, doc))
+                .reference(user, doc)
                 .ok_or(PlacelessError::NoSuchReference(user, doc))?;
             // Personal values shadow universal ones, so they come first.
             let mut pairs = reference.personal.static_pairs();
@@ -1049,14 +1054,15 @@ impl DocumentSpace {
                 // A personal-property mutation is visible to the base and
                 // to that reference only.
                 Some(EventSite::Reference(owner)) => {
-                    if let Some(r) = inner.refs.get(&(owner, event.doc)) {
+                    if let Some(r) = inner.reference(owner, event.doc) {
                         targets.extend(r.personal.interested(event.kind));
                     }
                 }
-                // Base-site and site-less events reach every reference.
+                // Base-site and site-less events reach every reference of
+                // the document, in user-id order.
                 _ => {
-                    for ((_, d), r) in inner.refs.iter() {
-                        if *d == event.doc {
+                    if let Some(refs) = inner.refs.get(&event.doc) {
+                        for r in refs.values() {
                             targets.extend(r.personal.interested(event.kind));
                         }
                     }
@@ -1369,6 +1375,52 @@ mod tests {
             1,
             "other users' notifiers hear about the write"
         );
+    }
+
+    /// Logs its owner on every `ContentWritten`.
+    struct OrderProbe {
+        owner: UserId,
+        log: Arc<Mutex<Vec<UserId>>>,
+    }
+    impl ActiveProperty for OrderProbe {
+        fn name(&self) -> &str {
+            "order-probe"
+        }
+        fn interests(&self) -> Interests {
+            Interests::of(&[EventKind::ContentWritten])
+        }
+        fn on_event(&self, _ctx: &EventCtx<'_>, _event: &DocumentEvent) -> Result<()> {
+            self.log.lock().push(self.owner);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn content_written_reaches_personal_properties_in_user_order() {
+        // References are added out of id order.
+        let users = [UserId(7), UserId(3), UserId(11), UserId(5), BOB, UserId(9)];
+        let deliveries = || {
+            let (space, doc) = setup("x");
+            let log = Arc::new(Mutex::new(Vec::new()));
+            for owner in users {
+                space.add_reference(owner, doc).unwrap();
+                let probe = Arc::new(OrderProbe {
+                    owner,
+                    log: Arc::clone(&log),
+                });
+                space
+                    .attach_active(Scope::Personal(owner), doc, probe)
+                    .unwrap();
+            }
+            space.write_document(ALICE, doc, b"new").unwrap();
+            let order = log.lock().clone();
+            order
+        };
+        let first = deliveries();
+        let mut by_id = users.to_vec();
+        by_id.sort();
+        assert_eq!(first, by_id);
+        assert_eq!(deliveries(), first, "two identical spaces, one order");
     }
 
     #[test]

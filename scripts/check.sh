@@ -36,14 +36,23 @@ cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments 
 echo "==> E-MERGE smoke (op-based multi-writer merge; writes BENCH_merge.json)"
 cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- merge
 
-echo "==> E-LOAD smoke (trace-driven load + coalesce probe + write mix; writes BENCH_load.json)"
-E_LOAD_USERS=20000 E_LOAD_OPS=4000 E_LOAD_THREADS=4 \
-  E_LOAD_WMIX_WRITES=800 E_LOAD_WMIX_DOCS=48 E_LOAD_WMIX_FLUSH_EVERY=400 \
-  cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- load
+# The reduced E-LOAD and E-OVERLOAD smokes run in target/smoke, so their
+# BENCH_*.json land there instead of over the tracked full-size files.
+mkdir -p target/smoke
 
-echo "==> E-OVERLOAD smoke (deadline admission + brownout under a 10x burst; writes BENCH_overload.json)"
-E_OVERLOAD_EVENTS=300 E_OVERLOAD_THREADS=4 E_OVERLOAD_WALL_MICROS=150 \
-  cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- overload
+echo "==> E-LOAD smoke (trace-driven load + coalesce probe + write mix; writes target/smoke/BENCH_load.json)"
+(cd target/smoke && E_LOAD_USERS=20000 E_LOAD_OPS=4000 E_LOAD_THREADS=4 \
+  E_LOAD_WMIX_WRITES=800 E_LOAD_WMIX_DOCS=48 E_LOAD_WMIX_FLUSH_EVERY=400 \
+  cargo run -q --release "${CARGO_FLAGS[@]}" --manifest-path ../../Cargo.toml \
+  -p placeless-bench --bin experiments -- load)
+
+echo "==> E-OVERLOAD smoke (deadline admission + brownout under a 10x burst; writes target/smoke/BENCH_overload.json)"
+(cd target/smoke && E_OVERLOAD_EVENTS=300 E_OVERLOAD_THREADS=4 E_OVERLOAD_WALL_MICROS=150 \
+  cargo run -q --release "${CARGO_FLAGS[@]}" --manifest-path ../../Cargo.toml \
+  -p placeless-bench --bin experiments -- overload)
+
+echo "==> benchmark determinism self-tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings

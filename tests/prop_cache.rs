@@ -1,17 +1,24 @@
 //! Property-based tests over the caching layer: the shared store against a
 //! reference model, replacement-policy contracts under random operation
-//! sequences, GDS invariants, and the simulation substrate.
+//! sequences, GDS invariants, the document index under eviction and
+//! invalidation, and the simulation substrate.
 
 use bytes::Bytes;
 use placeless_cache::keys::SharedStore;
 use placeless_cache::policy::{
     by_name, EntryAttrs, EntryKey, GreedyDualSize, ReplacementPolicy, ALL_POLICIES,
 };
+use placeless_cache::{CacheConfig, DocumentCache, WriteMode};
+use placeless_core::bitprovider::MemoryProvider;
 use placeless_core::id::{DocumentId, UserId};
+use placeless_core::notifier::Invalidation;
+use placeless_core::space::{DocumentSpace, Scope};
+use placeless_proplang::{ExtEnv, ScriptProperty};
 use placeless_simenv::trace::{WorkloadBuilder, ZipfSampler};
 use placeless_simenv::{SimRng, VirtualClock};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn key_strategy() -> impl Strategy<Value = EntryKey> {
     (0u64..12, 0u64..4).prop_map(|(d, u)| EntryKey::Version(DocumentId(d), UserId(u)))
@@ -210,6 +217,105 @@ proptest! {
         for _ in 0..32 {
             let v = rng.next_range(lo, hi);
             prop_assert!((lo..=hi).contains(&v));
+        }
+    }
+}
+
+/// Operations the document-index model replays against a live cache.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Read(u64, u64),
+    Write(u64, u8),
+    InvalidateDocument(u64),
+    InvalidateUser(u64, u64),
+}
+
+const INDEX_DOCS: u64 = 4;
+const INDEX_USERS: u64 = 3;
+
+/// Reads are listed twice, so they make up two ops in five.
+fn cache_op_strategy() -> impl Strategy<Value = CacheOp> {
+    prop_oneof![
+        (0..INDEX_DOCS, 0..INDEX_USERS).prop_map(|(d, u)| CacheOp::Read(d, u)),
+        (0..INDEX_DOCS, 0..INDEX_USERS).prop_map(|(d, u)| CacheOp::Read(d, u)),
+        (0..INDEX_DOCS, any::<u8>()).prop_map(|(d, v)| CacheOp::Write(d, v)),
+        (0..INDEX_DOCS).prop_map(CacheOp::InvalidateDocument),
+        (0..INDEX_DOCS, 0..INDEX_USERS).prop_map(|(d, u)| CacheOp::InvalidateUser(d, u)),
+    ]
+}
+
+/// A body whose length varies with `v`, so fills of different sizes
+/// compete for the small budget below; one value in eight is larger than
+/// the whole budget, so its fills evict everything and then themselves.
+fn index_body(doc: u64, v: u8) -> String {
+    let repeats = if v % 8 == 7 {
+        40
+    } else {
+        usize::from(v % 6) + 1
+    };
+    format!("d{doc}v{v}-").repeat(repeats)
+}
+
+proptest! {
+    /// Each shard's `DocumentId → keys` index equals its resident keys
+    /// grouped by document after every step — fills, evictions (the
+    /// budget holds a few entries), self-evicting fills, write-through
+    /// writes and bus invalidations — so no index entry outlives its key.
+    /// Reads stay correct while stage outputs are reclaimed.
+    #[test]
+    fn document_index_matches_resident_keys(
+        shards in 2usize..5,
+        ops in proptest::collection::vec(cache_op_strategy(), 1..150),
+    ) {
+        let space = DocumentSpace::new(VirtualClock::new());
+        let mut bodies = Vec::new();
+        let mut docs = Vec::new();
+        for d in 0..INDEX_DOCS {
+            let body = index_body(d, 0);
+            let provider = MemoryProvider::new("doc", body.clone(), 500);
+            let doc = space.create_document(UserId(0), provider);
+            let upper = ScriptProperty::compile("up", "upper", ExtEnv::new()).unwrap();
+            space.attach_active(Scope::Universal, doc, upper).unwrap();
+            for u in 0..INDEX_USERS {
+                space.add_reference(UserId(u), doc).unwrap();
+                let source = format!("append(\"[u{u}]\")");
+                let tag = ScriptProperty::compile("tag", &source, ExtEnv::new()).unwrap();
+                space.attach_active(Scope::Personal(UserId(u)), doc, tag).unwrap();
+            }
+            bodies.push(body);
+            docs.push(doc);
+        }
+        let cache = DocumentCache::new(
+            Arc::clone(&space),
+            CacheConfig::builder()
+                .capacity_bytes(160)
+                .shards(shards)
+                .stage_cache(true)
+                .write_mode(WriteMode::Through)
+                .build(),
+        );
+        for op in ops {
+            match op {
+                CacheOp::Read(d, u) => {
+                    let got = cache.read(UserId(u), docs[d as usize]).unwrap();
+                    let expected = format!("{}[u{u}]", bodies[d as usize].to_uppercase());
+                    prop_assert_eq!(got, Bytes::from(expected));
+                }
+                CacheOp::Write(d, v) => {
+                    let body = index_body(d, v);
+                    cache.write(UserId(0), docs[d as usize], body.as_bytes()).unwrap();
+                    bodies[d as usize] = body;
+                }
+                CacheOp::InvalidateDocument(d) => {
+                    space.bus().post(Invalidation::Document(docs[d as usize]));
+                }
+                CacheOp::InvalidateUser(d, u) => {
+                    let doc = docs[d as usize];
+                    space.bus().post(Invalidation::UserDocument(doc, UserId(u)));
+                }
+            }
+            let exact = cache.check_doc_index();
+            prop_assert!(exact.is_ok(), "{:?} after {:?}", exact, op);
         }
     }
 }

@@ -259,3 +259,71 @@ fn uncacheable_vote_blocks_stage_fills() {
     );
     assert_eq!(stats.stage_bytes, 0);
 }
+
+/// A document with a two-stage tokened universal chain and a reader.
+fn staged_doc(space: &Arc<DocumentSpace>, body: &'static str, reader: UserId) -> DocumentId {
+    let doc = space.create_document(UserId(0), MemoryProvider::new("doc", body, 1_000));
+    for label in ["x", "y"] {
+        space
+            .attach_active(Scope::Universal, doc, Suffix::staged(label))
+            .unwrap();
+    }
+    space.add_reference(reader, doc).unwrap();
+    doc
+}
+
+#[test]
+fn document_invalidation_reclaims_its_stage_outputs() {
+    let space = DocumentSpace::new(VirtualClock::new());
+    let (reader, late_reader) = (UserId(1), UserId(2));
+    let a = staged_doc(&space, "body-0000", reader);
+    let b = staged_doc(&space, "other-000", reader);
+    space.add_reference(late_reader, b).unwrap();
+    let cache = DocumentCache::new(
+        Arc::clone(&space),
+        CacheConfig::builder()
+            .stage_cache(true)
+            .write_mode(WriteMode::Through)
+            .build(),
+    );
+    cache.read(reader, a).unwrap();
+    cache.read(reader, b).unwrap();
+    // Two stage outputs per document's live chain.
+    let live = 4;
+    assert_eq!(cache.stage_entry_count(), live);
+    let (physical, _) = cache.resident_bytes();
+
+    // Every write moves `a`'s root, so the stage outputs chained from the
+    // old root can never be addressed again: they go with the write
+    // instead of piling up until evicted.
+    for k in 1..=20 {
+        let body = format!("body-{k:04}");
+        cache.write(reader, a, body.as_bytes()).unwrap();
+        assert_eq!(
+            cache.read(reader, a).unwrap(),
+            Bytes::from(format!("{body}[x][y]"))
+        );
+        assert_eq!(cache.stage_entry_count(), live, "after write {k}");
+        assert_eq!(cache.resident_bytes().0, physical, "after write {k}");
+        cache.check_doc_index().unwrap();
+    }
+
+    // A bus invalidation of `a` drops its stages and its one version, and
+    // counts only the version; `b`'s stages stay and still serve.
+    let before = cache.stats();
+    space.bus().post(Invalidation::Document(a));
+    let after = cache.stats();
+    assert_eq!(
+        after.notifier_invalidations - before.notifier_invalidations,
+        1
+    );
+    assert_eq!(cache.stage_entry_count(), 2);
+    assert!(!cache.contains(reader, a));
+    assert!(cache.contains(reader, b));
+    assert_eq!(
+        cache.read(late_reader, b).unwrap(),
+        Bytes::from_static(b"other-000[x][y]")
+    );
+    assert_eq!(cache.stats().stage_hits - after.stage_hits, 2);
+    cache.check_doc_index().unwrap();
+}
