@@ -324,14 +324,14 @@ fn run_load() {
         wmix_params.writes, wmix_params.documents, wmix_params.flush_every, wmix_params.users
     );
     println!(
-        "{:<12} {:>9} {:>9} {:>9} {:>11} {:>13} {:>13}",
+        "{:<16} {:>9} {:>9} {:>9} {:>11} {:>13} {:>13}",
         "flush mode", "entries", "flushes", "batches", "origin ops", "ops/entry", "flush us"
     );
     let wmix = load::write_mix(wmix_params);
     for r in &wmix {
         println!(
-            "{:<12} {:>9} {:>9} {:>9} {:>11} {:>13.2} {:>13}",
-            if r.batched { "batched" } else { "per-entry" },
+            "{:<16} {:>9} {:>9} {:>9} {:>11} {:>13.2} {:>13}",
+            r.mode(),
             r.entries_flushed,
             r.flush_calls,
             r.flush_batches,
@@ -433,13 +433,12 @@ fn load_json(
     for (i, r) in wmix.iter().enumerate() {
         out.push_str(&format!(
             "      {{\"mode\": \"{}\", \"entries_flushed\": {}, \"flush_calls\": {}, \
-             \"flush_batches\": {}, \"batched_writes\": {}, \"origin_ops\": {}, \
-             \"ops_per_entry\": {:.4}, \"flush_micros\": {}}}{}\n",
-            if r.batched { "batched" } else { "per_entry" },
+             \"flush_batches\": {}, \"origin_ops\": {}, \"ops_per_entry\": {:.4}, \
+             \"flush_micros\": {}}}{}\n",
+            r.mode(),
             r.entries_flushed,
             r.flush_calls,
             r.flush_batches,
-            r.batched_writes,
             r.origin_ops,
             r.ops_per_entry(),
             r.flush_micros,

@@ -20,11 +20,12 @@
 //! and that `coalesced_waits` accounts for all the waiters.
 //!
 //! The **write mix** is measured by [`write_mix`]: the same Zipf
-//! population drives write-back writes, and periodic flushes are run once
-//! with per-entry flushing and once with the batched per-origin scheduler,
-//! counting middleware origin operations per flushed entry. The batched
-//! run must amortize origin round-trips at least 2× — like the coalesce
-//! probe, an acceptance check rather than a soft measurement.
+//! population drives write-back writes through the per-origin grouped
+//! flush twice — once flushing after every write, so every group holds
+//! one entry, and once flushing every `flush_every` writes — counting
+//! middleware origin operations per flushed entry. The batched run must
+//! amortize origin round-trips at least 2× — like the coalesce probe, an
+//! acceptance check rather than a soft measurement.
 
 use crate::support::TagProperty;
 use bytes::Bytes;
@@ -512,20 +513,17 @@ impl WriteMixParams {
     }
 }
 
-/// One write-mix run: the same trace flushed with or without the batched
-/// per-origin scheduler.
+/// One write-mix run: the same trace flushed every `flush_every` writes.
 #[derive(Debug, Clone, Copy)]
 pub struct WriteMixResult {
-    /// Whether [`placeless_cache::CacheConfig::batched_flush`] was on.
-    pub batched: bool,
+    /// Writes between flushes; `1` makes every flush group one entry.
+    pub flush_every: usize,
     /// Dirty entries pushed to the middleware across all flushes.
     pub entries_flushed: u64,
     /// `flush()` calls issued.
     pub flush_calls: u64,
-    /// Grouped origin operations issued (stats delta; zero per-entry).
+    /// Grouped origin operations issued (stats delta).
     pub flush_batches: u64,
-    /// Entries written through a grouped batch (stats delta).
-    pub batched_writes: u64,
     /// Middleware origin operations charged during the flushes.
     pub origin_ops: u64,
     /// Virtual microseconds the flushes consumed.
@@ -538,40 +536,49 @@ impl WriteMixResult {
     pub fn ops_per_entry(&self) -> f64 {
         self.origin_ops as f64 / self.entries_flushed.max(1) as f64
     }
+
+    /// The run's label in the E-LOAD table and `BENCH_load.json`.
+    pub fn mode(&self) -> &'static str {
+        if self.flush_every == 1 {
+            "one_entry_groups"
+        } else {
+            "batched"
+        }
+    }
 }
 
-/// Runs the write mix twice over one trace — per-entry flushing, then the
-/// batched per-origin scheduler — and asserts the batched run amortizes
-/// origin round-trips at least 2×.
+/// Runs the write mix twice over one trace — flushing after every write
+/// (one-entry groups), then every `params.flush_every` writes — and
+/// asserts the batched run amortizes origin round-trips at least 2×.
 ///
 /// # Panics
 ///
 /// Panics if any flush is not clean, if `FlushReport` accounting is not
-/// exact (`attempted == flushed + parked + requeued`), if the two modes
-/// disagree on what was flushed, or if the amortization falls below 2× —
-/// this is the E-LOAD write-mix acceptance check.
+/// exact (`attempted == flushed + parked + requeued`), if any entry
+/// skipped its group, if a baseline group held more than one entry, or
+/// if the amortization falls below 2× — this is the E-LOAD write-mix
+/// acceptance check.
 pub fn write_mix(params: WriteMixParams) -> [WriteMixResult; 2] {
-    let per_entry = write_mix_one(params, false);
-    let batched = write_mix_one(params, true);
+    let baseline = write_mix_one(WriteMixParams {
+        flush_every: 1,
+        ..params
+    });
+    let batched = write_mix_one(params);
     assert_eq!(
-        per_entry.entries_flushed, batched.entries_flushed,
-        "same trace, same flush points, same dirty entries"
+        (baseline.flush_batches, baseline.entries_flushed),
+        (params.writes as u64, params.writes as u64),
+        "every baseline group holds exactly one entry"
     );
-    assert_eq!(per_entry.flush_batches, 0, "per-entry mode must not batch");
     assert!(batched.flush_batches > 0, "batched mode never grouped");
-    assert_eq!(
-        batched.batched_writes, batched.entries_flushed,
-        "every healthy-origin entry flushes through its group"
-    );
-    let amortization = per_entry.ops_per_entry() / batched.ops_per_entry();
+    let amortization = baseline.ops_per_entry() / batched.ops_per_entry();
     assert!(
         amortization >= 2.0,
         "grouped flushes must amortize origin round-trips >= 2x, got {amortization:.2}"
     );
-    [per_entry, batched]
+    [baseline, batched]
 }
 
-fn write_mix_one(params: WriteMixParams, batched: bool) -> WriteMixResult {
+fn write_mix_one(params: WriteMixParams) -> WriteMixResult {
     let sampler = TraceBuilder::new(params.seed)
         .users(params.users)
         .documents(params.documents)
@@ -610,17 +617,15 @@ fn write_mix_one(params: WriteMixParams, batched: bool) -> WriteMixResult {
             .capacity_bytes(1 << 30)
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Back)
-            .batched_flush(batched)
             .build(),
     );
     let clock = space.clock().clone();
     let before = cache.stats();
     let mut result = WriteMixResult {
-        batched,
+        flush_every: params.flush_every,
         entries_flushed: 0,
         flush_calls: 0,
         flush_batches: 0,
-        batched_writes: 0,
         origin_ops: 0,
         flush_micros: 0,
     };
@@ -652,7 +657,10 @@ fn write_mix_one(params: WriteMixParams, batched: bool) -> WriteMixResult {
     flush_now(&mut result);
     let stats = cache.stats().delta(&before);
     result.flush_batches = stats.flush_batches;
-    result.batched_writes = stats.batched_writes;
+    assert_eq!(
+        stats.flushes, result.entries_flushed,
+        "every healthy-origin entry flushes through its group"
+    );
     assert_eq!(cache.dirty_count(), 0, "nothing may stay dirty");
     result
 }
@@ -746,11 +754,15 @@ mod tests {
             ..WriteMixParams::default()
         };
         // write_mix() itself asserts the >= 2x amortization contract.
-        let [per_entry, batched] = write_mix(params);
-        assert_eq!(per_entry.flush_calls, batched.flush_calls);
-        assert!(batched.origin_ops < per_entry.origin_ops);
+        let [baseline, batched] = write_mix(params);
+        assert_eq!(
+            (baseline.flush_batches, baseline.entries_flushed),
+            (params.writes as u64, params.writes as u64),
+            "every baseline group holds exactly one entry"
+        );
+        assert!(batched.origin_ops < baseline.origin_ops);
         assert!(
-            batched.flush_micros <= per_entry.flush_micros,
+            batched.flush_micros <= baseline.flush_micros,
             "grouped commits must not cost more virtual time"
         );
         assert!(batched.flush_batches >= batched.flush_calls);

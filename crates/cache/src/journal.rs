@@ -21,7 +21,7 @@
 //! ```
 //!
 //! A record that additionally carries typed operations ([`DocOp`]) sets
-//! the high bit of the length field ([`OPS_FLAG`] — payloads are far below
+//! the high bit of the length field (`OPS_FLAG` — payloads are far below
 //! 2 GiB, so the bit is free) and inserts the op section between the
 //! header and the payload:
 //!

@@ -26,7 +26,7 @@
 //!
 //! The cache is sharded: entry state — the `(doc, user) → signature`
 //! binding, entry metadata, the replacement-policy instance, and dirty
-//! write-back data — is split over N [`Shard`]s, each behind its own
+//! write-back data — is split over N `Shard`s, each behind its own
 //! mutex, with the shard chosen by a *fixed* multiplicative hash of the
 //! key (no per-process hasher seeds, so runs are reproducible). Content
 //! bytes live outside the shards in one [`ConcurrentStore`], so identical
@@ -76,7 +76,7 @@
 //! ## Single-flight coalescing
 //!
 //! Concurrent misses on the same key are deduplicated by two
-//! [`crate::singleflight::FlightGroup`]s: one keyed by version key around
+//! `FlightGroup`s: one keyed by version key around
 //! the whole resilient miss fetch, one keyed by stage signature around
 //! each stage execution of the compiled-plan walk. The first thread in
 //! leads and computes; the rest block (holding no cache lock) and share
@@ -154,16 +154,9 @@ pub struct FlushReport {
     /// them: transient failures without a journal, and non-transient
     /// failures always.
     pub requeued: Vec<(DocumentId, UserId, PlacelessError)>,
-    /// Per-origin groups the batched scheduler formed (one per distinct
-    /// origin among the drained entries). Zero when batched flushing is
-    /// disabled and every entry is written individually.
+    /// Per-origin groups the flush formed (one per distinct origin among
+    /// the drained entries).
     pub batches: u64,
-    /// Drained entries whose key was not an [`EntryKey::Version`] —
-    /// an invariant violation (the dirty maps only ever buffer version
-    /// keys). They are re-queued, never written, and counted here
-    /// instead of in `attempted` so `attempted == flushed + parked.len()
-    /// + requeued.len() + dropped.len()` always holds.
-    pub skipped_non_version: u64,
     /// Entries deliberately dropped by an unmergeable-conflict
     /// `KeepTheirs` resolution (merge policy configured): the origin's
     /// newer version won, the journaled write was acknowledged and
@@ -179,12 +172,12 @@ impl FlushReport {
     /// the origin, or deliberately dropped by a `KeepTheirs` merge
     /// fallback — and nothing remains dirty.
     pub fn is_clean(&self) -> bool {
-        self.parked.is_empty() && self.requeued.is_empty() && self.skipped_non_version == 0
+        self.parked.is_empty() && self.requeued.is_empty()
     }
 
     /// Returns how many entries remain dirty after this flush.
     pub fn remaining(&self) -> u64 {
-        (self.parked.len() + self.requeued.len()) as u64 + self.skipped_non_version
+        (self.parked.len() + self.requeued.len()) as u64
     }
 }
 
@@ -192,14 +185,13 @@ impl std::fmt::Display for FlushReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "flushed {}/{} in {} batch(es); {} parked, {} requeued, {} dropped, {} skipped",
+            "flushed {}/{} in {} batch(es); {} parked, {} requeued, {} dropped",
             self.flushed,
             self.attempted,
             self.batches,
             self.parked.len(),
             self.requeued.len(),
             self.dropped.len(),
-            self.skipped_non_version,
         )?;
         if !self.merge.is_empty() {
             write!(f, "; merge: {}", self.merge)?;
@@ -344,25 +336,11 @@ pub struct CacheConfig {
     /// its retries are *parked* in the journal instead of erroring. `None`
     /// (the default) reproduces the unjournaled behaviour exactly.
     pub journal: Option<WriteJournal>,
-    /// Coalesce concurrent misses on the same key into one computation
-    /// (single-flight): the first thread fetches, the rest wait and share
-    /// its result — or its error. On by default; single-threaded
-    /// behaviour and statistics are identical either way, because a lone
-    /// reader always leads its own flight.
-    pub single_flight: bool,
     /// Bound the number of concurrently in-flight origin fetches per
     /// origin. Excess misses block at the cache until a slot frees,
     /// queueing a miss storm instead of stampeding the origin. `None`
     /// (the default) leaves fetch concurrency unbounded.
     pub max_inflight_per_origin: Option<u32>,
-    /// Group drained dirty entries by origin and flush each group as one
-    /// grouped origin operation: one breaker admission decision, one
-    /// backoff schedule, and one in-flight-window slot cover the whole
-    /// group, and the space charges its middleware hops once per group
-    /// instead of once per entry. Park/requeue/journal semantics stay
-    /// per entry — the batch write returns one result per entry. On by
-    /// default; `false` restores the serial per-entry flush exactly.
-    pub batched_flush: bool,
     /// Operation-based conflict resolution. When set, write conflicts
     /// detected during recovery *and* flush are routed through the merge
     /// policy first: a conflicted write whose journal record carries
@@ -398,9 +376,7 @@ impl Default for CacheConfig {
             resilience: ResilienceConfig::default(),
             stage_cache: false,
             journal: None,
-            single_flight: true,
             max_inflight_per_origin: None,
-            batched_flush: true,
             merge: None,
             overload: None,
         }
@@ -504,24 +480,10 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Enables or disables single-flight miss coalescing (see
-    /// [`CacheConfig::single_flight`]).
-    pub fn single_flight(mut self, on: bool) -> Self {
-        self.config.single_flight = on;
-        self
-    }
-
     /// Bounds concurrently in-flight origin fetches per origin (see
     /// [`CacheConfig::max_inflight_per_origin`]).
     pub fn max_inflight_per_origin(mut self, limit: u32) -> Self {
         self.config.max_inflight_per_origin = Some(limit);
-        self
-    }
-
-    /// Enables or disables per-origin flush batching (see
-    /// [`CacheConfig::batched_flush`]).
-    pub fn batched_flush(mut self, on: bool) -> Self {
-        self.config.batched_flush = on;
         self
     }
 
@@ -702,7 +664,7 @@ struct Shard {
     /// empty. Document-scoped invalidation reads it instead of scanning.
     by_doc: HashMap<DocumentId, HashSet<EntryKey>>,
     policy: Box<dyn ReplacementPolicy>,
-    dirty: HashMap<EntryKey, DirtyEntry>,
+    dirty: HashMap<(DocumentId, UserId), DirtyEntry>,
 }
 
 impl Shard {
@@ -816,18 +778,15 @@ pub struct DocumentCache {
     stage_cache: bool,
     breakers: BreakerSet,
     journal: Option<WriteJournal>,
-    /// Keys whose flush exhausted its retries and now sit in the journal
-    /// awaiting a breaker probe. Bookkeeping only (stats and reports);
-    /// the data itself stays in the dirty maps and the journal. Leaf lock.
-    parked: Mutex<HashSet<EntryKey>>,
+    /// Dirty entries whose flush exhausted its retries and now sit in the
+    /// journal awaiting a breaker probe. Bookkeeping only (stats and
+    /// reports); the data itself stays in the dirty maps and the journal.
+    /// Leaf lock.
+    parked: Mutex<HashSet<(DocumentId, UserId)>>,
     /// Highest invalidation-bus sequence number seen; `0` until the first
     /// delivery. Gaps mean dropped notifications (see
     /// [`DocumentCache::note_sequence`]).
     last_seq: AtomicU64,
-    /// Single-flight coalescing enabled (see [`CacheConfig::single_flight`]).
-    single_flight: bool,
-    /// Per-origin flush batching enabled (see [`CacheConfig::batched_flush`]).
-    batched_flush: bool,
     /// Open miss fetches keyed by version key.
     version_flights: FlightGroup,
     /// Open stage executions keyed by stage signature.
@@ -896,8 +855,6 @@ impl DocumentCache {
             journal: config.journal,
             parked: Mutex::new(HashSet::new()),
             last_seq: AtomicU64::new(0),
-            single_flight: config.single_flight,
-            batched_flush: config.batched_flush,
             version_flights: FlightGroup::new(),
             stage_flights: FlightGroup::new(),
             window: {
@@ -1063,13 +1020,8 @@ impl DocumentCache {
                     }
                 }
             }
-            let key = EntryKey::Version(record.doc, record.user);
-            let mut shard = cache.shard(key).lock();
-            let inserted = shard.dirty.insert(key, entry).is_none();
-            drop(shard);
-            if inserted {
-                cache.dirty_gauge.fetch_add(1, Ordering::Relaxed);
-            }
+            let shard = cache.shard(EntryKey::Version(record.doc, record.user));
+            cache.buffer_dirty(&mut shard.lock(), record.doc, record.user, entry);
             report.requeued += 1;
         }
         (cache, report)
@@ -1236,7 +1188,7 @@ impl DocumentCache {
         let outcome = {
             let mut shard = self.shards[index].lock();
             // Dirty write-back data is the freshest view for its writer.
-            if let Some(dirty) = shard.dirty.get(&key) {
+            if let Some(dirty) = shard.dirty.get(&(doc, user)) {
                 Outcome::Dirty(dirty.data.clone())
             } else if shard.meta.contains_key(&key) {
                 let meta = shard.meta.get(&key).expect("checked above");
@@ -1395,48 +1347,44 @@ impl DocumentCache {
         // Miss path. Coalesce concurrent misses on this key into one
         // flight: the first thread fetches, the rest wait (holding no
         // cache lock) and share its outcome.
-        let guard = if self.single_flight {
-            match self.version_flights.join(key) {
-                Join::Leader(guard) => Some(guard),
-                Join::Waited(Some(FlightResult::Shared { bytes, forward, .. })) => {
-                    // Another thread's miss computed these bytes while we
-                    // waited; the read was served locally without touching
-                    // the origin, so it counts as a hit — plus the
-                    // coalescing counter that explains *why* it hit.
-                    AtomicCacheStats::bump(&self.stats.hits);
-                    AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                    self.local_latency.charge(&clock, bytes.len() as u64);
-                    AtomicCacheStats::add(&self.stats.hit_micros, watch.elapsed_micros());
-                    if forward {
-                        // `CacheableWithEvents` demands an event per read:
-                        // every waiter posts its own.
-                        self.space
-                            .post_cache_event(user, doc, EventKind::CacheRead)?;
-                        AtomicCacheStats::bump(&self.stats.events_forwarded);
-                    }
-                    if let Some(link) = &self.access_link {
-                        link.transfer(&clock, bytes.len() as u64);
-                    }
-                    let latency_micros = watch.elapsed_micros();
-                    return Ok(ReadOutcome {
-                        bytes,
-                        class: HitClass::CoalescedWait,
-                        latency_micros,
-                    });
+        let guard = match self.version_flights.join(key) {
+            Join::Leader(guard) => Some(guard),
+            Join::Waited(Some(FlightResult::Shared { bytes, forward, .. })) => {
+                // Another thread's miss computed these bytes while we
+                // waited; the read was served locally without touching
+                // the origin, so it counts as a hit — plus the
+                // coalescing counter that explains *why* it hit.
+                AtomicCacheStats::bump(&self.stats.hits);
+                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                self.local_latency.charge(&clock, bytes.len() as u64);
+                AtomicCacheStats::add(&self.stats.hit_micros, watch.elapsed_micros());
+                if forward {
+                    // `CacheableWithEvents` demands an event per read:
+                    // every waiter posts its own.
+                    self.space
+                        .post_cache_event(user, doc, EventKind::CacheRead)?;
+                    AtomicCacheStats::bump(&self.stats.events_forwarded);
                 }
-                Join::Waited(Some(FlightResult::Failed(error))) => {
-                    // The flight's one fetch failed; every waiter shares
-                    // the error (and its own stale fallback, if any).
-                    AtomicCacheStats::bump(&self.stats.coalesced_waits);
-                    return self.stale_or_degraded(error, stale, user, doc, &clock, &opts, &watch);
+                if let Some(link) = &self.access_link {
+                    link.transfer(&clock, bytes.len() as u64);
                 }
-                // The leader's result may not be shared (uncacheable
-                // content must reach the origin per read) or the leader
-                // unwound without publishing: fetch independently.
-                Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => None,
+                let latency_micros = watch.elapsed_micros();
+                return Ok(ReadOutcome {
+                    bytes,
+                    class: HitClass::CoalescedWait,
+                    latency_micros,
+                });
             }
-        } else {
-            None
+            Join::Waited(Some(FlightResult::Failed(error))) => {
+                // The flight's one fetch failed; every waiter shares
+                // the error (and its own stale fallback, if any).
+                AtomicCacheStats::bump(&self.stats.coalesced_waits);
+                return self.stale_or_degraded(error, stale, user, doc, &clock, &opts, &watch);
+            }
+            // The leader's result may not be shared (uncacheable
+            // content must reach the origin per read) or the leader
+            // unwound without publishing: fetch independently.
+            Join::Waited(Some(FlightResult::Unshared)) | Join::Waited(None) => None,
         };
 
         // Execute the full read path with no shard lock held — the path
@@ -1867,13 +1815,13 @@ impl DocumentCache {
     /// replacement cost and still register their path metadata (votes,
     /// verifiers, pins) via a lazy dummy wrap.
     ///
-    /// With single-flight on, a stage that is neither resident nor being
-    /// computed opens a **stage flight** keyed by its signature; threads
-    /// that miss the same `(doc, stage)` signature while it is open wait
-    /// for the leader and account the shared output as a stage hit plus a
-    /// coalesced wait. Identical signatures imply identical input bytes
-    /// and transform prefix, so the leader's output is byte-for-byte what
-    /// every waiter's walk would have computed.
+    /// A stage that is neither resident nor being computed opens a
+    /// **stage flight** keyed by its signature; threads that miss the same
+    /// `(doc, stage)` signature while it is open wait for the leader and
+    /// account the shared output as a stage hit plus a coalesced wait.
+    /// Identical signatures imply identical input bytes and transform
+    /// prefix, so the leader's output is byte-for-byte what every
+    /// waiter's walk would have computed.
     ///
     /// Returns the bytes, the report, whether any stage hit (resident or
     /// coalesced), and the final content digest when the walk knows it
@@ -1951,7 +1899,7 @@ impl DocumentCache {
                         )?;
                         AtomicCacheStats::bump(&self.stats.stage_hits);
                         any_hit = true;
-                    } else if self.single_flight {
+                    } else {
                         match self.stage_flights.join(EntryKey::Stage(stage_sig)) {
                             Join::Leader(guard) => {
                                 // Re-check residency under leadership: a
@@ -2042,16 +1990,6 @@ impl DocumentCache {
                                 )?;
                             }
                         }
-                    } else {
-                        self.run_and_fill_stage(
-                            &plan,
-                            &mut pipeline,
-                            clock,
-                            index,
-                            &mut report,
-                            &mut fetched_root,
-                            &mut root_verifier,
-                        )?;
                     }
                 }
                 None => {
@@ -2515,38 +2453,16 @@ impl DocumentCache {
                     });
                     // A full-body write supersedes any accumulated op
                     // delta: the entry reverts to an opaque snapshot.
-                    let inserted = shard
-                        .dirty
-                        .insert(
-                            key,
-                            DirtyEntry {
-                                data: Bytes::copy_from_slice(data),
-                                seq,
-                                ops: Vec::new(),
-                                epoch,
-                                writer_seq: 0,
-                            },
-                        )
-                        .is_none();
-                    drop(shard);
-                    if inserted {
-                        self.dirty_gauge.fetch_add(1, Ordering::Relaxed);
-                    }
+                    let entry = DirtyEntry {
+                        data: Bytes::copy_from_slice(data),
+                        seq,
+                        ops: Vec::new(),
+                        epoch,
+                        writer_seq: 0,
+                    };
+                    self.buffer_dirty(&mut shard, doc, user, entry);
                 }
-                AtomicCacheStats::bump(&self.stats.writes);
-                // §3: write-path properties register their own cacheability
-                // requirements; forward the operation event when any of
-                // them must see every write.
-                let forward = self
-                    .space
-                    .write_cacheability(user, doc)?
-                    .requires_event_forwarding();
-                if forward {
-                    self.space
-                        .post_cache_event(user, doc, EventKind::CacheWrite)?;
-                    AtomicCacheStats::bump(&self.stats.events_forwarded);
-                }
-                Ok(())
+                self.finish_buffered_write(user, doc)
             }
         }
     }
@@ -2584,7 +2500,7 @@ impl DocumentCache {
         loop {
             let mut shard = self.shard(key).lock();
             let (base, epoch, prior_ops, prior_writer_seq) =
-                if let Some(entry) = shard.dirty.get(&key) {
+                if let Some(entry) = shard.dirty.get(&(doc, user)) {
                     // A pending plain write is an opaque snapshot: represent
                     // it as a full-body op so the combined delta stays honest
                     // (it pins the body and is therefore unmergeable, exactly
@@ -2638,27 +2554,24 @@ impl DocumentCache {
                 AtomicCacheStats::bump(&self.stats.journal_appends);
                 seq
             });
-            let inserted = shard
-                .dirty
-                .insert(
-                    key,
-                    DirtyEntry {
-                        data: view,
-                        seq,
-                        ops,
-                        epoch,
-                        writer_seq,
-                    },
-                )
-                .is_none();
-            drop(shard);
-            if inserted {
-                self.dirty_gauge.fetch_add(1, Ordering::Relaxed);
-            }
+            let entry = DirtyEntry {
+                data: view,
+                seq,
+                ops,
+                epoch,
+                writer_seq,
+            };
+            self.buffer_dirty(&mut shard, doc, user, entry);
             break;
         }
+        self.finish_buffered_write(user, doc)
+    }
+
+    /// Counts a buffered write-back write and, §3, forwards the operation
+    /// event when a write-path property registered a cacheability
+    /// requirement that must see every write.
+    fn finish_buffered_write(&self, user: UserId, doc: DocumentId) -> Result<()> {
         AtomicCacheStats::bump(&self.stats.writes);
-        // Same write-path event forwarding as a plain write-back write.
         let forward = self
             .space
             .write_cacheability(user, doc)?
@@ -2761,17 +2674,16 @@ impl DocumentCache {
     ///
     /// Dirty data is drained holding one shard lock at a time, sorted
     /// into a deterministic order, and written with no cache lock held.
-    /// With [`CacheConfig::batched_flush`] (the default) the drained
-    /// entries are grouped by origin and each group is written as one
-    /// grouped origin operation — one breaker admission decision, one
-    /// backoff schedule, and one pair of middleware hops per group
-    /// attempt instead of per entry — while every per-entry outcome
-    /// below still holds, because the batch write returns one result per
-    /// entry. A failed write no longer abandons the remaining entries: the
-    /// failed entry and every entry not yet attempted are re-queued into
-    /// their shards' dirty maps (a concurrent newer write for the same
-    /// key wins over the re-queue), and the returned [`FlushReport`]
-    /// names exactly what remains dirty.
+    /// The drained entries are grouped by origin and each group is
+    /// written as one grouped origin operation — one breaker admission
+    /// decision, one backoff schedule, and one pair of middleware hops
+    /// per group attempt instead of per entry — while every per-entry
+    /// outcome below still holds, because the batch write returns one
+    /// result per entry. A failed write does not abandon the remaining
+    /// entries: the failed entry and every entry not yet attempted are
+    /// re-queued into their shards' dirty maps (a concurrent newer write
+    /// for the same key wins over the re-queue), and the returned
+    /// [`FlushReport`] names exactly what remains dirty.
     ///
     /// With a journal configured, a flushed record is acknowledged (and
     /// the journal pruned) only after its origin write succeeded, and an
@@ -2781,55 +2693,31 @@ impl DocumentCache {
     /// again. Non-transient failures are re-queued and reported either
     /// way.
     pub fn flush(&self) -> Result<FlushReport> {
-        let mut dirty: Vec<(EntryKey, DirtyEntry)> = Vec::new();
+        let mut dirty: Vec<((DocumentId, UserId), DirtyEntry)> = Vec::new();
         for mutex in self.shards.iter() {
             dirty.extend(mutex.lock().dirty.drain());
         }
         self.dirty_gauge
             .fetch_sub(dirty.len() as u64, Ordering::Relaxed);
         // HashMap drain order depends on the process hasher seed; sorting
-        // by the full key (derived `Ord`: every version key before every
-        // stage key, no ties between distinct keys) keeps flush outcomes
-        // (which entry hit the outage window first) reproducible for
-        // same-seed replays.
+        // by `(doc, user)` (no ties between distinct keys) keeps flush
+        // outcomes (which entry hit the outage window first) reproducible
+        // for same-seed replays.
         dirty.sort_by_key(|(key, _)| *key);
         let mut report = FlushReport::default();
         let clock = self.space.clock().clone();
-        let mut entries: Vec<(DocumentId, UserId, DirtyEntry)> = Vec::with_capacity(dirty.len());
-        for (key, entry) in dirty {
-            match key {
-                EntryKey::Version(doc, user) => entries.push((doc, user, entry)),
-                EntryKey::Stage(_) => {
-                    // Dirty data is only ever buffered under version keys;
-                    // a stage key here is an invariant violation. Don't
-                    // drop the bytes on the floor: put the entry back and
-                    // surface the skip in the report.
-                    debug_assert!(false, "non-version key {key:?} in a dirty map");
-                    self.requeue_dirty(key, entry);
-                    report.skipped_non_version += 1;
-                }
-            }
+        // Group by origin, preserving the sorted entry order inside each
+        // group; BTreeMap keeps the group order itself deterministic too.
+        let mut groups: BTreeMap<String, Vec<(DocumentId, UserId, DirtyEntry)>> = BTreeMap::new();
+        for ((doc, user), entry) in dirty {
+            let origin = self
+                .space
+                .origin_of(doc)
+                .unwrap_or_else(|| format!("doc:{}", doc.0));
+            groups.entry(origin).or_default().push((doc, user, entry));
         }
-        if self.batched_flush {
-            // Group by origin, preserving the sorted entry order inside
-            // each group; BTreeMap keeps the group order itself
-            // deterministic too.
-            let mut groups: BTreeMap<String, Vec<(DocumentId, UserId, DirtyEntry)>> =
-                BTreeMap::new();
-            for (doc, user, entry) in entries {
-                let origin = self
-                    .space
-                    .origin_of(doc)
-                    .unwrap_or_else(|| format!("doc:{}", doc.0));
-                groups.entry(origin).or_default().push((doc, user, entry));
-            }
-            for (origin, group) in groups {
-                self.flush_group(&origin, group, &clock, &mut report);
-            }
-        } else {
-            for (doc, user, entry) in entries {
-                self.flush_one(doc, user, entry, &clock, &mut report);
-            }
+        for (origin, group) in groups {
+            self.flush_group(&origin, group, &clock, &mut report);
         }
         debug_assert_eq!(
             report.attempted,
@@ -2838,40 +2726,6 @@ impl DocumentCache {
             "flush accounting must be non-lossy"
         );
         Ok(report)
-    }
-
-    /// Writes one drained dirty entry through [`Self::write_with_resilience`]
-    /// and settles the outcome — the pre-batching per-entry flush path,
-    /// kept verbatim for [`CacheConfig::batched_flush`]` = false`.
-    fn flush_one(
-        &self,
-        doc: DocumentId,
-        user: UserId,
-        mut entry: DirtyEntry,
-        clock: &VirtualClock,
-        report: &mut FlushReport,
-    ) {
-        report.attempted += 1;
-        if self.merge.is_some() && !self.settle_conflict_per_entry(doc, user, &mut entry, report) {
-            return; // the conflict was resolved by dropping the entry
-        }
-        match self.write_with_resilience(user, doc, &entry.data, clock) {
-            Ok(()) => {
-                AtomicCacheStats::bump(&self.stats.flushes);
-                report.flushed += 1;
-                if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
-                    // Ack precisely this record; a newer write that
-                    // superseded it mid-flush keeps its own record.
-                    journal.ack(seq);
-                }
-                let key = EntryKey::Version(doc, user);
-                if self.parked.lock().remove(&key) {
-                    self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
-                }
-                self.invalidate_doc(doc);
-            }
-            Err(error) => self.settle_flush_failure(doc, user, entry, error, report),
-        }
     }
 
     /// Flushes one per-origin group of drained dirty entries as grouped
@@ -2886,7 +2740,7 @@ impl DocumentCache {
     /// pending for the group's next retry, and non-transient failures
     /// are re-queued immediately. Entries still pending when the retry
     /// budget (or deadline, or breaker) gives out are parked or
-    /// re-queued exactly as the per-entry path would have done.
+    /// re-queued.
     fn flush_group(
         &self,
         origin: &str,
@@ -2958,15 +2812,13 @@ impl DocumentCache {
                 match result {
                     Ok(()) => {
                         AtomicCacheStats::bump(&self.stats.flushes);
-                        AtomicCacheStats::bump(&self.stats.batched_writes);
                         report.flushed += 1;
                         if self.journal.is_some() {
                             if let Some(seq) = entry.seq {
                                 acks.push(seq);
                             }
                         }
-                        let key = EntryKey::Version(doc, user);
-                        if self.parked.lock().remove(&key) {
+                        if self.parked.lock().remove(&(doc, user)) {
                             self.parked_gauge.fetch_sub(1, Ordering::Relaxed);
                         }
                         self.invalidate_doc(doc);
@@ -2979,8 +2831,8 @@ impl DocumentCache {
             }
             if let Some(journal) = &self.journal {
                 if !acks.is_empty() {
-                    // Acks are seq-precise exactly like the per-entry
-                    // path, but the medium compacts once per batch.
+                    // Acks are seq-precise, but the medium compacts once
+                    // per batch.
                     journal.ack_batch(&acks);
                 }
             }
@@ -3128,67 +2980,6 @@ impl DocumentCache {
         kept
     }
 
-    /// The per-entry sibling of [`Self::route_conflicts_through_merge`]
-    /// for the legacy unbatched flush path. The per-entry path has no
-    /// grouped op write, so a rebasable conflict is rebased *cache-side*:
-    /// the entry's data becomes the origin's current content with the
-    /// ops folded in, and its epoch advances to match. Returns `false`
-    /// when the entry was resolved by dropping it (`KeepTheirs`).
-    fn settle_conflict_per_entry(
-        &self,
-        doc: DocumentId,
-        user: UserId,
-        entry: &mut DirtyEntry,
-        report: &mut FlushReport,
-    ) -> bool {
-        let Some(policy) = &self.merge else {
-            return true;
-        };
-        if entry.epoch == NO_EPOCH {
-            return true;
-        }
-        let Ok((origin, _)) = self.space.read_document(user, doc) else {
-            return true; // unreachable origin: the write attempt decides
-        };
-        let origin_sig = ConcurrentStore::signature_of(&origin);
-        if origin_sig == entry.epoch {
-            return true;
-        }
-        AtomicCacheStats::bump(&self.stats.write_conflicts);
-        report.merge.examined += 1;
-        if rebasable(&entry.ops) {
-            entry.data = apply_all(&origin, &entry.ops);
-            entry.epoch = origin_sig;
-            AtomicCacheStats::bump(&self.stats.conflicts_merged);
-            for _ in &entry.ops {
-                AtomicCacheStats::bump(&self.stats.merge_rebases);
-            }
-            report.merge.merged += 1;
-            report.merge.rebases += entry.ops.len() as u64;
-            return true;
-        }
-        let conflict = WriteConflict {
-            doc,
-            user,
-            journal_epoch: entry.epoch,
-            origin_signature: origin_sig,
-        };
-        match policy.resolve_unmergeable(&conflict) {
-            ConflictResolution::KeepMine => {
-                report.merge.kept_mine += 1;
-                true
-            }
-            ConflictResolution::KeepTheirs => {
-                report.merge.kept_theirs += 1;
-                if let (Some(journal), Some(seq)) = (&self.journal, entry.seq) {
-                    journal.ack(seq);
-                }
-                report.dropped.push((doc, user));
-                false
-            }
-        }
-    }
-
     /// Settles one failed flush entry: re-queues the data (a concurrent
     /// newer write wins) and either parks it (journal configured and the
     /// failure transient — it stays journaled and dirty until a later
@@ -3202,10 +2993,9 @@ impl DocumentCache {
         error: PlacelessError,
         report: &mut FlushReport,
     ) {
-        let key = EntryKey::Version(doc, user);
-        self.requeue_dirty(key, entry);
+        self.requeue_dirty(doc, user, entry);
         if self.journal.is_some() && error.is_transient() {
-            if self.parked.lock().insert(key) {
+            if self.parked.lock().insert((doc, user)) {
                 self.parked_gauge.fetch_add(1, Ordering::Relaxed);
                 AtomicCacheStats::bump(&self.stats.writes_parked);
             }
@@ -3217,14 +3007,18 @@ impl DocumentCache {
 
     /// Puts a drained dirty entry back without clobbering a newer write
     /// that landed while the flush held no lock.
-    fn requeue_dirty(&self, key: EntryKey, entry: DirtyEntry) {
-        let mut shard = self.shard(key).lock();
-        let vacant = !shard.dirty.contains_key(&key);
-        if vacant {
-            shard.dirty.insert(key, entry);
+    fn requeue_dirty(&self, doc: DocumentId, user: UserId, entry: DirtyEntry) {
+        let mut shard = self.shard(EntryKey::Version(doc, user)).lock();
+        if !shard.dirty.contains_key(&(doc, user)) {
+            self.buffer_dirty(&mut shard, doc, user, entry);
         }
-        drop(shard);
-        if vacant {
+    }
+
+    /// Buffers `entry` as the dirty write for `(doc, user)` in its locked
+    /// `shard`, superseding any earlier one, and keeps `dirty_gauge`
+    /// exact.
+    fn buffer_dirty(&self, shard: &mut Shard, doc: DocumentId, user: UserId, entry: DirtyEntry) {
+        if shard.dirty.insert((doc, user), entry).is_none() {
             self.dirty_gauge.fetch_add(1, Ordering::Relaxed);
         }
     }

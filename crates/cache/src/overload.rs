@@ -3,7 +3,7 @@
 //!
 //! Under a traffic burst the failure mode of a naive cache is *congestive
 //! collapse*: every reader queues on the per-origin
-//! [`InflightWindow`](crate::singleflight::InflightWindow) forever, misses
+//! `InflightWindow` forever, misses
 //! its deadline anyway, and still consumes a thread, a queue slot, and —
 //! eventually — origin capacity. This module turns that cliff into a
 //! ladder of controlled degradation:

@@ -3,12 +3,12 @@
 //! Under heavy concurrent traffic the expensive event is not the miss
 //! itself but the *redundant* miss: N threads observe the same key absent
 //! and all N walk the property chain, so one cold popular document costs
-//! N provider fetches and N transform executions. A [`FlightGroup`]
+//! N provider fetches and N transform executions. A `FlightGroup`
 //! deduplicates that work: the first thread to miss a key becomes the
 //! flight's **leader** and computes the result; every other thread that
 //! misses the same key while the flight is open becomes a **waiter**,
 //! blocks on the leader's condvar, and shares the leader's outcome — a
-//! cloneable [`FlightResult`], so errors are shared exactly like bytes.
+//! cloneable `FlightResult`, so errors are shared exactly like bytes.
 //!
 //! The flight is removed from the table *before* its outcome is
 //! published, so a thread arriving after completion starts a fresh
@@ -24,7 +24,7 @@
 //!   on the same `(doc, stage)` signature — typically different users
 //!   sharing a chain prefix — compute the intermediate exactly once.
 //!
-//! [`InflightWindow`] is the companion back-pressure mechanism: a bounded
+//! `InflightWindow` is the companion back-pressure mechanism: a bounded
 //! count of concurrently in-flight fetches per origin, so a miss storm
 //! that single-flight cannot coalesce (distinct keys, one origin) queues
 //! at the cache instead of stampeding the origin.

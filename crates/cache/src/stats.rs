@@ -82,14 +82,9 @@ pub struct CacheStats {
     /// Write attempts repeated after a transient failure (write-through
     /// and flush paths; the write-side sibling of `retries`).
     pub flush_retries: u64,
-    /// Grouped origin write operations issued by the batched flush
-    /// scheduler — one per per-origin group per attempt (a retried
-    /// group counts again).
+    /// Grouped origin write operations issued by the flush — one per
+    /// per-origin group per attempt (a retried group counts again).
     pub flush_batches: u64,
-    /// Dirty entries whose origin write succeeded as part of a grouped
-    /// flush batch (`flushes` counts these too; the difference is the
-    /// per-entry fallback path).
-    pub batched_writes: u64,
     /// Recovered writes that conflicted with a newer origin version
     /// (journal epoch no longer matches the origin signature).
     pub write_conflicts: u64,
@@ -225,7 +220,6 @@ impl CacheStats {
             writes_parked: self.writes_parked.saturating_sub(earlier.writes_parked),
             flush_retries: self.flush_retries.saturating_sub(earlier.flush_retries),
             flush_batches: self.flush_batches.saturating_sub(earlier.flush_batches),
-            batched_writes: self.batched_writes.saturating_sub(earlier.batched_writes),
             write_conflicts: self.write_conflicts.saturating_sub(earlier.write_conflicts),
             conflicts_merged: self
                 .conflicts_merged
@@ -296,7 +290,6 @@ pub struct AtomicCacheStats {
     pub(crate) writes_parked: AtomicU64,
     pub(crate) flush_retries: AtomicU64,
     pub(crate) flush_batches: AtomicU64,
-    pub(crate) batched_writes: AtomicU64,
     pub(crate) write_conflicts: AtomicU64,
     pub(crate) conflicts_merged: AtomicU64,
     pub(crate) merge_rebases: AtomicU64,
@@ -371,7 +364,6 @@ impl AtomicCacheStats {
             writes_parked: self.writes_parked.load(Ordering::Relaxed),
             flush_retries: self.flush_retries.load(Ordering::Relaxed),
             flush_batches: self.flush_batches.load(Ordering::Relaxed),
-            batched_writes: self.batched_writes.load(Ordering::Relaxed),
             write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
             conflicts_merged: self.conflicts_merged.load(Ordering::Relaxed),
             merge_rebases: self.merge_rebases.load(Ordering::Relaxed),

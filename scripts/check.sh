@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI runs, in the order cheapest-feedback-first.
 #
-#   scripts/check.sh            # build + test + fmt + clippy
+#   scripts/check.sh            # build + test + fmt + clippy + doc
 #   OFFLINE=1 scripts/check.sh  # pass --offline to every cargo call
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,5 +56,8 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc "${CARGO_FLAGS[@]}" --workspace --no-deps
 
 echo "==> all checks passed"

@@ -846,7 +846,7 @@ fn recovery_conflicts_resolve_keep_mine_and_keep_theirs() {
 /// though its batch-mates failed, while only the dark documents park.
 /// Batching never coarsens per-entry outcomes.
 #[test]
-fn batched_flush_straddling_outage_parks_only_failed_entries() {
+fn grouped_flush_straddling_outage_parks_only_failed_entries() {
     let clock = VirtualClock::new();
     let space = DocumentSpace::with_middleware_cost(clock.clone(), LatencyModel::FREE);
     let fs = MemFs::new(clock.clone());
@@ -895,7 +895,7 @@ fn batched_flush_straddling_outage_parks_only_failed_entries() {
     assert_eq!(fs.read("/b").expect("file exists"), "old b");
     let stats = cache.stats();
     assert!(stats.flush_batches >= 1, "the grouped path ran");
-    assert_eq!(stats.batched_writes, 1, "one entry succeeded via the batch");
+    assert_eq!(stats.flushes, 1, "one entry succeeded via the batch");
     assert_eq!(stats.writes_parked, 2);
 
     // Past the outage and the breaker cool-down, the parked half of the
@@ -1025,7 +1025,6 @@ fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) 
         CacheConfig::builder()
             .local_latency(LatencyModel::FREE)
             .write_mode(WriteMode::Back)
-            .batched_flush(true)
             .shards(1)
             .journal(journal.clone())
             .resilience(
@@ -1054,12 +1053,14 @@ fn grouped_flush_run(seed: u64, writes: u64) -> (CacheStats, usize, Vec<Bytes>) 
             .expect("write-back buffers unconditionally");
         if i % 4 == 3 {
             let report = cache.flush().expect("flush reports, not errors");
-            // The batched scheduler is never lossy, whatever the
-            // outage/flush interleaving.
+            // The grouped flush is never lossy, whatever the
+            // outage/flush interleaving, and what it reports as
+            // remaining is exactly what stays dirty.
             assert_eq!(
                 report.attempted,
                 report.flushed + (report.parked.len() + report.requeued.len()) as u64
             );
+            assert_eq!(cache.dirty_count() as u64, report.remaining());
         }
     }
     // Past both outages and the breaker cool-downs, everything drains.

@@ -13,7 +13,7 @@ use placeless_core::verifier::Verifier;
 use placeless_repository::{FsProvider, MemFs};
 use placeless_simenv::{FaultPlan, Instant, LatencyModel, Link, VirtualClock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 const USER: UserId = UserId(1);
 
@@ -177,73 +177,6 @@ fn leader_failure_is_shared_but_not_sticky() {
     );
     assert_eq!(provider.fetches(), 2);
     assert_eq!(cache.stats().misses, 1, "only the successful fill counts");
-}
-
-/// A provider that holds every fetch at a barrier until `parties` fetches
-/// are simultaneously in flight — provable concurrency at the origin.
-struct BarrierProvider {
-    body: Bytes,
-    fetches: AtomicU64,
-    barrier: Barrier,
-}
-
-impl BitProvider for BarrierProvider {
-    fn describe(&self) -> String {
-        "barrier:test".to_owned()
-    }
-
-    fn open_input(&self, _clock: &VirtualClock) -> Result<Box<dyn InputStream>> {
-        self.fetches.fetch_add(1, Ordering::SeqCst);
-        self.barrier.wait();
-        Ok(Box::new(MemoryInput::new(self.body.clone())))
-    }
-
-    fn open_output(&self, _clock: &VirtualClock) -> Result<Box<dyn OutputStream>> {
-        Err(PlacelessError::Repository("read-only".to_owned()))
-    }
-
-    fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        None
-    }
-
-    fn fetch_cost_micros(&self) -> u64 {
-        100
-    }
-}
-
-/// With single-flight disabled the same race reaches the origin once per
-/// thread — the baseline the coalescing layer removes.
-#[test]
-fn disabled_single_flight_fetches_independently() {
-    const THREADS: usize = 4;
-    let provider = Arc::new(BarrierProvider {
-        body: Bytes::from_static(b"independent"),
-        fetches: AtomicU64::new(0),
-        barrier: Barrier::new(THREADS),
-    });
-    let space = DocumentSpace::with_middleware_cost(VirtualClock::new(), LatencyModel::FREE);
-    let doc = space.create_document(USER, provider.clone());
-    let cache = DocumentCache::new(
-        space,
-        CacheConfig::builder()
-            .local_latency(LatencyModel::FREE)
-            .single_flight(false)
-            .build(),
-    );
-
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            let cache = &cache;
-            scope.spawn(move || cache.read(USER, doc).expect("read"));
-        }
-    });
-
-    assert_eq!(
-        provider.fetches.load(Ordering::SeqCst),
-        THREADS as u64,
-        "every thread must reach the origin on its own"
-    );
-    assert_eq!(cache.stats().coalesced_waits, 0);
 }
 
 /// `read()` is a thin wrapper: it returns exactly `read_with(..)`'s bytes
