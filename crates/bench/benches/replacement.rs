@@ -1,7 +1,7 @@
 //! Wall-clock throughput of the replacement policies: a mixed
 //! insert/hit/evict cycle over a 4,096-entry working set, per policy.
-//! GDS's heap gives `O(log n)` operations; the scan-based baselines are
-//! `O(n)` on evict — visible here, invisible in the simulated experiment.
+//! Every policy ranks entries in the same addressable heap, so every call
+//! is `O(log n)`; the policies differ only in how they rank.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use placeless_cache::{by_name, EntryAttrs, EntryKey, ALL_POLICIES};

@@ -1,4 +1,5 @@
-//! Greedy-Dual-Size [Cao & Irani 1997].
+//! Greedy-Dual-Size [Cao & Irani 1997] and its frequency form, GDSF — the
+//! prototype's actual policy.
 //!
 //! Every resident entry carries a credit `H = L + cost / size`, where `L` is
 //! the policy's inflation value. Eviction removes the entry with the lowest
@@ -6,13 +7,21 @@
 //! expensive-to-reproduce documents survive. With `cost ≡ 1` this degrades
 //! to GD(1), the cost-blind variant used as an ablation baseline.
 //!
-//! Implementation: a binary heap with lazy deletion (each key has a
-//! generation; stale heap nodes are skipped on pop), giving `O(log n)`
-//! inserts/hits and amortized `O(log n)` evictions.
+//! §4: "The replacement policy used in the implementation is a version of
+//! the Greedy-Dual-Size algorithm \[Cao & Irani 1997\], based on the
+//! replacement cost supplied by the properties and bit-provider, as well as
+//! on the size of the document **and the access frequency of the document
+//! at that cache**." Plain GDS ignores frequency; the "version" described
+//! is GDS-Frequency: `H = L + frequency · cost / size`, so repeatedly
+//! accessed documents accumulate credit beyond what one touch grants.
+//!
+//! All three rank an entry by `(H, generation)`, where the generation
+//! stamps the entry's last insert or hit, so equal credits evict the
+//! least recently touched entry first. A hit re-ranks the entry's one heap
+//! node in place.
 
+use super::heap::RankHeap;
 use super::{EntryAttrs, EntryKey, ReplacementPolicy, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 
 /// An `f64` with total ordering for use in the heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,31 +41,32 @@ impl Ord for OrdF64 {
     }
 }
 
-struct Tracked {
+/// What an entry's credit is computed from.
+struct Basis {
     size: u64,
     cost: f64,
-    generation: u64,
+    frequency: u64,
 }
 
-/// The Greedy-Dual-Size replacement policy.
-pub struct GreedyDualSize {
-    entries: HashMap<EntryKey, Tracked>,
-    heap: BinaryHeap<Reverse<(OrdF64, u64, EntryKey)>>,
+/// The Greedy-Dual family; `FREQUENCY` selects GDSF.
+#[derive(Default)]
+pub struct GreedyDual<const FREQUENCY: bool> {
+    heap: RankHeap<(OrdF64, u64), Basis>,
     inflation: f64,
     next_generation: u64,
     cost_blind: bool,
 }
 
+/// Greedy-Dual-Size: credit from cost and size only.
+pub type GreedyDualSize = GreedyDual<false>;
+
+/// Greedy-Dual-Size-Frequency: credit grows with every hit.
+pub type GdsFrequency = GreedyDual<true>;
+
 impl GreedyDualSize {
     /// Creates a cost-aware GDS policy.
     pub fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            heap: BinaryHeap::new(),
-            inflation: 0.0,
-            next_generation: 0,
-            cost_blind: false,
-        }
+        Self::default()
     }
 
     /// Creates GD(1): every entry costs 1, isolating the size/recency terms.
@@ -66,90 +76,95 @@ impl GreedyDualSize {
             ..Self::new()
         }
     }
+}
 
+impl GdsFrequency {
+    /// Creates an empty GDSF policy.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
     /// Returns the current inflation value `L`.
     pub fn inflation(&self) -> f64 {
         self.inflation
     }
 
-    fn credit(&self, size: u64, cost: f64) -> f64 {
-        let cost = if self.cost_blind { 1.0 } else { cost };
-        self.inflation + cost / size.max(1) as f64
-    }
-
-    fn push(&mut self, key: EntryKey, size: u64, cost: f64) {
-        let h = self.credit(size, cost);
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.entries.insert(
-            key,
-            Tracked {
-                size,
-                cost,
-                generation,
-            },
-        );
-        self.heap.push(Reverse((OrdF64(h), generation, key)));
+    /// Returns the number of heap nodes; always [`ReplacementPolicy::len`].
+    #[doc(hidden)]
+    pub fn heap_nodes(&self) -> usize {
+        self.heap.nodes()
     }
 }
 
-impl Default for GreedyDualSize {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The credit `H = L + frequency · cost / size` of an entry.
+fn credit(inflation: f64, basis: &Basis) -> OrdF64 {
+    OrdF64(inflation + basis.frequency as f64 * basis.cost / basis.size.max(1) as f64)
 }
 
-impl ReplacementPolicy for GreedyDualSize {
+impl<const FREQUENCY: bool> ReplacementPolicy for GreedyDual<FREQUENCY> {
     fn name(&self) -> &'static str {
-        if self.cost_blind {
-            "gd1"
-        } else {
-            "gds"
+        match (FREQUENCY, self.cost_blind) {
+            (true, _) => "gdsf",
+            (false, true) => "gd1",
+            (false, false) => "gds",
         }
     }
 
     fn on_insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
         // Intermediate stage entries are rebuildable from any final read:
         // discount their cost so they lose ties against final versions.
-        let cost = if attrs.pin_level == STAGE_PIN_LEVEL {
+        let cost = if self.cost_blind {
+            1.0
+        } else if attrs.pin_level == STAGE_PIN_LEVEL {
             attrs.cost * STAGE_COST_DISCOUNT
         } else {
             attrs.cost
         };
-        self.push(key, attrs.size, cost);
+        // A re-insert of a resident key keeps its earned frequency.
+        let frequency = if FREQUENCY {
+            self.heap.meta(&key).map_or(1, |basis| basis.frequency)
+        } else {
+            1
+        };
+        let basis = Basis {
+            size: attrs.size,
+            cost,
+            frequency,
+        };
+        let rank = (credit(self.inflation, &basis), self.next_generation);
+        self.next_generation += 1;
+        self.heap.insert(key, rank, basis);
     }
 
     fn on_hit(&mut self, key: EntryKey) {
-        // Restore the entry's credit to its full L + cost/size.
-        if let Some(t) = self.entries.get(&key) {
-            let (size, cost) = (t.size, t.cost);
-            self.push(key, size, cost);
-        }
+        // Restore the entry's credit to its full L + cost/size (GDSF: times
+        // its raised frequency).
+        let (inflation, generation) = (self.inflation, self.next_generation);
+        self.next_generation += 1;
+        self.heap.update(&key, |rank, basis| {
+            if FREQUENCY {
+                basis.frequency += 1;
+            }
+            *rank = (credit(inflation, basis), generation);
+        });
     }
 
     fn on_remove(&mut self, key: EntryKey) {
-        self.entries.remove(&key);
+        self.heap.remove(&key);
     }
 
     fn evict(&mut self) -> Option<EntryKey> {
-        while let Some(Reverse((OrdF64(h), generation, key))) = self.heap.pop() {
-            match self.entries.get(&key) {
-                Some(t) if t.generation == generation => {
-                    self.entries.remove(&key);
-                    // Inflate L to the evicted credit; future entries start
-                    // from here, which is what ages out stale residents.
-                    self.inflation = self.inflation.max(h);
-                    return Some(key);
-                }
-                // Stale heap node (entry re-pushed or removed): skip.
-                _ => continue,
-            }
-        }
-        None
+        let (key, (OrdF64(h), _)) = self.heap.pop()?;
+        // Inflate L to the evicted credit; future entries start from here,
+        // which is what ages out stale residents.
+        self.inflation = self.inflation.max(h);
+        Some(key)
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.heap.len()
     }
 }
 
@@ -223,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_then_evict_skips_stale_nodes() {
+    fn remove_then_evict_skips_removed_entries() {
         let mut gds = GreedyDualSize::new();
         gds.on_insert(key(1), &EntryAttrs::new(100, 1.0));
         gds.on_insert(key(2), &EntryAttrs::new(100, 2.0));
@@ -266,5 +281,66 @@ mod tests {
         let mut gds = GreedyDualSize::new();
         gds.on_insert(key(1), &EntryAttrs::new(0, 100.0));
         assert_eq!(gds.evict(), Some(key(1)));
+    }
+
+    #[test]
+    fn frequency_raises_credit() {
+        let mut gdsf = GdsFrequency::new();
+        gdsf.on_insert(key(1), &EntryAttrs::new(100, 100.0));
+        gdsf.on_insert(key(2), &EntryAttrs::new(100, 100.0));
+        // Hit key(1) three times: its credit triples.
+        gdsf.on_hit(key(1));
+        gdsf.on_hit(key(1));
+        gdsf.on_hit(key(1));
+        assert_eq!(gdsf.evict(), Some(key(2)), "unfrequented entry goes first");
+        assert_eq!(gdsf.evict(), Some(key(1)));
+    }
+
+    #[test]
+    fn frequency_can_outweigh_cost() {
+        let mut gdsf = GdsFrequency::new();
+        gdsf.on_insert(key(1), &EntryAttrs::new(100, 300.0)); // pricey, touched once: H = 3
+        gdsf.on_insert(key(2), &EntryAttrs::new(100, 100.0)); // cheap, hot
+        for _ in 0..4 {
+            gdsf.on_hit(key(2)); // frequency 5: H = 5
+        }
+        assert_eq!(gdsf.evict(), Some(key(1)));
+    }
+
+    #[test]
+    fn cost_still_matters_at_equal_frequency() {
+        let mut gdsf = GdsFrequency::new();
+        gdsf.on_insert(key(1), &EntryAttrs::new(100, 500.0));
+        gdsf.on_insert(key(2), &EntryAttrs::new(100, 50.0));
+        assert_eq!(gdsf.evict(), Some(key(2)));
+    }
+
+    #[test]
+    fn gdsf_inflation_is_monotone() {
+        let mut gdsf = GdsFrequency::new();
+        for i in 0..12 {
+            gdsf.on_insert(key(i), &EntryAttrs::new(10, (i + 1) as f64 * 10.0));
+            if i % 3 == 0 {
+                gdsf.on_hit(key(i));
+            }
+        }
+        let mut last = 0.0;
+        while gdsf.evict().is_some() {
+            assert!(gdsf.inflation() >= last);
+            last = gdsf.inflation();
+        }
+        assert!(gdsf.is_empty());
+    }
+
+    #[test]
+    fn reinsert_preserves_earned_frequency() {
+        let mut gdsf = GdsFrequency::new();
+        gdsf.on_insert(key(1), &EntryAttrs::new(100, 100.0));
+        gdsf.on_hit(key(1));
+        gdsf.on_hit(key(1)); // frequency 3
+                             // Re-insert (e.g. verifier replaced the content): frequency kept.
+        gdsf.on_insert(key(1), &EntryAttrs::new(100, 100.0));
+        gdsf.on_insert(key(2), &EntryAttrs::new(100, 250.0)); // frequency 1, H = 2.5 < 3
+        assert_eq!(gdsf.evict(), Some(key(2)));
     }
 }

@@ -4,24 +4,23 @@
 //! [Cao & Irani 1997], based on the replacement cost supplied by the
 //! properties and bit-provider, as well as on the size of the document and
 //! the access frequency of the document at that cache" — implemented here
-//! as [`gdsf::GdsFrequency`] (the full cost+size+frequency form) and
+//! as [`gds::GdsFrequency`] (the full cost+size+frequency form) and
 //! [`gds::GreedyDualSize`] (the frequency-free original). The classic
 //! baselines (LRU, LFU, SIZE, FIFO, and cost-blind GD(1)) let the
 //! replacement benchmark show what cost-awareness buys.
+//!
+//! Every policy is a rank over one addressable min-heap that holds exactly
+//! one node per tracked key: an insert or a hit re-ranks the key's node in
+//! place, a removal deletes it, and an eviction pops the lowest rank, each
+//! in `O(log n)`. Every rank ends in a unique tick, so the victim sequence
+//! is fully determined by the calls made.
 
-pub mod fifo;
+pub mod classic;
 pub mod gds;
-pub mod gdsf;
-pub mod lfu;
-pub mod lru;
-pub mod size;
+mod heap;
 
-pub use fifo::Fifo;
-pub use gds::GreedyDualSize;
-pub use gdsf::GdsFrequency;
-pub use lfu::Lfu;
-pub use lru::Lru;
-pub use size::SizePolicy;
+pub use classic::{Classic, Fifo, Lfu, Lru, SizePolicy};
+pub use gds::{GdsFrequency, GreedyDual, GreedyDualSize};
 
 use placeless_core::digest::Signature;
 use placeless_core::id::{DocumentId, UserId};

@@ -12,7 +12,7 @@
 use crate::cacheability::Cacheability;
 use crate::error::Result;
 use crate::streams::{CollectOutput, InputStream, MemoryInput, OutputStream};
-use crate::verifier::{ClosureVerifier, Validity, Verifier};
+use crate::verifier::{Validity, Verifier};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use placeless_simenv::VirtualClock;
@@ -92,7 +92,7 @@ type VersionedCell = Arc<Mutex<(u64, Bytes)>>;
 /// the middleware cannot see (the paper's dual update model). An epoch
 /// counter backs the mtime-style verifier.
 pub struct MemoryProvider {
-    label: String,
+    label: Arc<str>,
     state: VersionedCell,
     fetch_cost: u64,
 }
@@ -102,7 +102,7 @@ impl MemoryProvider {
     /// cost in microseconds.
     pub fn new(label: &str, content: impl Into<Bytes>, fetch_cost: u64) -> Arc<Self> {
         Arc::new(Self {
-            label: label.to_owned(),
+            label: Arc::from(label),
             state: Arc::new(Mutex::new((0, content.into()))),
             fetch_cost,
         })
@@ -171,20 +171,11 @@ impl BitProvider for MemoryProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        // Poll the modification epoch, like polling a file's mtime.
-        let seen = self.epoch();
-        let state = self.state.clone();
-        Some(ClosureVerifier::new(
-            &format!("mtime({})", self.label),
-            2,
-            move |_| {
-                if state.lock().0 == seen {
-                    Validity::Valid
-                } else {
-                    Validity::Invalid
-                }
-            },
-        ))
+        Some(Box::new(MtimeVerifier {
+            label: Arc::clone(&self.label),
+            state: Arc::clone(&self.state),
+            seen: self.epoch(),
+        }))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
@@ -193,6 +184,33 @@ impl BitProvider for MemoryProvider {
 
     fn content_len_hint(&self) -> Option<u64> {
         Some(self.state.lock().1.len() as u64)
+    }
+}
+
+/// The verifier a [`MemoryProvider`] hands out: it polls the modification
+/// epoch, like polling a file's mtime, and holds the provider's label
+/// rather than a formatted copy of it.
+struct MtimeVerifier {
+    label: Arc<str>,
+    state: VersionedCell,
+    seen: u64,
+}
+
+impl Verifier for MtimeVerifier {
+    fn check(&self, _clock: &VirtualClock) -> Validity {
+        if self.state.lock().0 == self.seen {
+            Validity::Valid
+        } else {
+            Validity::Invalid
+        }
+    }
+
+    fn cost_micros(&self) -> u64 {
+        2
+    }
+
+    fn describe(&self) -> String {
+        format!("mtime({})", self.label)
     }
 }
 
@@ -264,6 +282,15 @@ mod tests {
         provider.set_out_of_band("v2");
         let verifier = provider.make_verifier(&clock).unwrap();
         assert_eq!(verifier.check(&clock), Validity::Valid);
+    }
+
+    #[test]
+    fn descriptions_are_pinned() {
+        let provider = MemoryProvider::new("t", "v1", 10);
+        let verifier = provider.make_verifier(&VirtualClock::new()).unwrap();
+        assert_eq!(provider.describe(), "memory:t");
+        assert_eq!(verifier.describe(), "mtime(t)");
+        assert_eq!(verifier.cost_micros(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use parking_lot::RwLock;
 use placeless_core::bitprovider::BitProvider;
 use placeless_core::error::{PlacelessError, Result};
 use placeless_core::streams::{InputStream, MemoryInput, OutputStream};
-use placeless_core::verifier::{ClosureVerifier, Validity, Verifier};
+use placeless_core::verifier::{Validity, Verifier};
 use placeless_simenv::{Link, VirtualClock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -98,7 +98,7 @@ impl MailStore {
 /// count.
 pub struct MailDigestProvider {
     store: Arc<MailStore>,
-    folder: String,
+    folder: Arc<str>,
     limit: usize,
     link: Link,
 }
@@ -109,7 +109,7 @@ impl MailDigestProvider {
     pub fn new(store: Arc<MailStore>, folder: &str, limit: usize, link: Link) -> Arc<Self> {
         Arc::new(Self {
             store,
-            folder: folder.to_owned(),
+            folder: Arc::from(folder),
             limit,
             link,
         })
@@ -134,19 +134,12 @@ impl BitProvider for MailDigestProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        // New mail bumps the count; the probe costs one RTT.
-        let pinned = self.store.count(&self.folder).ok()?;
-        let store = self.store.clone();
-        let folder = self.folder.clone();
-        let rtt = self.link.rtt_micros();
-        Some(ClosureVerifier::new(
-            &format!("mail-count:{folder}"),
-            rtt,
-            move |_| match store.count(&folder) {
-                Ok(count) if count == pinned => Validity::Valid,
-                _ => Validity::Invalid,
-            },
-        ))
+        Some(Box::new(CountVerifier {
+            store: Arc::clone(&self.store),
+            folder: Arc::clone(&self.folder),
+            pinned: self.store.count(&self.folder).ok()?,
+            rtt: self.link.rtt_micros(),
+        }))
     }
 
     fn fetch_cost_micros(&self) -> u64 {
@@ -160,6 +153,33 @@ impl BitProvider for MailDigestProvider {
 
     fn writable(&self) -> bool {
         false
+    }
+}
+
+/// The digest provider's verifier: new mail bumps the folder's message
+/// count, and the probe costs one RTT. It shares the provider's folder
+/// name, so building one formats nothing.
+struct CountVerifier {
+    store: Arc<MailStore>,
+    folder: Arc<str>,
+    pinned: u64,
+    rtt: u64,
+}
+
+impl Verifier for CountVerifier {
+    fn check(&self, _clock: &VirtualClock) -> Validity {
+        match self.store.count(&self.folder) {
+            Ok(count) if count == self.pinned => Validity::Valid,
+            _ => Validity::Invalid,
+        }
+    }
+
+    fn cost_micros(&self) -> u64 {
+        self.rtt
+    }
+
+    fn describe(&self) -> String {
+        format!("mail-count:{}", self.folder)
     }
 }
 
@@ -232,6 +252,17 @@ mod tests {
             Validity::Invalid,
             "new mail detected"
         );
+    }
+
+    #[test]
+    fn descriptions_are_pinned() {
+        let store = MailStore::new();
+        store.create_folder("inbox");
+        let provider = MailDigestProvider::new(store, "inbox", 5, lan());
+        let verifier = provider.make_verifier(&VirtualClock::new()).unwrap();
+        assert_eq!(provider.describe(), "mail:inbox?limit=5");
+        assert_eq!(verifier.describe(), "mail-count:inbox");
+        assert_eq!(verifier.cost_micros(), 1_000, "probe costs one RTT");
     }
 
     #[test]

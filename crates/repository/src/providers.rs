@@ -25,7 +25,7 @@ use placeless_core::error::{PlacelessError, Result};
 use placeless_core::id::DocumentId;
 use placeless_core::notifier::{Invalidation, InvalidationBus};
 use placeless_core::streams::{CollectOutput, InputStream, MemoryInput, OutputStream};
-use placeless_core::verifier::{ClosureVerifier, TtlVerifier, Validity, Verifier};
+use placeless_core::verifier::{TtlVerifier, Validity, Verifier};
 use placeless_simenv::{Link, VirtualClock};
 use std::sync::Arc;
 
@@ -48,10 +48,55 @@ fn probe_link(link: &Link, clock: &VirtualClock) -> std::result::Result<(), Vali
     }
 }
 
+/// The verifier of an origin that can report a document's version: it
+/// pins the version seen at fill time and probes the origin over `link`
+/// on every hit, at one round trip. `kind` and `name` (the provider's
+/// shared path or key) make up its description, so building one formats
+/// nothing.
+struct PinnedVerifier<F> {
+    kind: &'static str,
+    name: Arc<str>,
+    link: Link,
+    /// Returns `true` while the origin still holds the pinned version.
+    unchanged: F,
+}
+
+impl<F: Fn() -> bool + Send + Sync + 'static> PinnedVerifier<F> {
+    fn boxed(kind: &'static str, name: &Arc<str>, link: &Link, unchanged: F) -> Box<dyn Verifier> {
+        Box::new(Self {
+            kind,
+            name: Arc::clone(name),
+            link: link.clone(),
+            unchanged,
+        })
+    }
+}
+
+impl<F: Fn() -> bool + Send + Sync> Verifier for PinnedVerifier<F> {
+    fn check(&self, clock: &VirtualClock) -> Validity {
+        if let Err(unverifiable) = probe_link(&self.link, clock) {
+            return unverifiable;
+        }
+        if (self.unchanged)() {
+            Validity::Valid
+        } else {
+            Validity::Invalid
+        }
+    }
+
+    fn cost_micros(&self) -> u64 {
+        self.link.rtt_micros()
+    }
+
+    fn describe(&self) -> String {
+        format!("{}:{}", self.kind, self.name)
+    }
+}
+
 /// Bit-provider over a path in a [`MemFs`].
 pub struct FsProvider {
     fs: Arc<MemFs>,
-    path: String,
+    path: Arc<str>,
     link: Link,
 }
 
@@ -60,7 +105,7 @@ impl FsProvider {
     pub fn new(fs: Arc<MemFs>, path: &str, link: Link) -> Arc<Self> {
         Arc::new(Self {
             fs,
-            path: path.to_owned(),
+            path: Arc::from(path),
             link,
         })
     }
@@ -123,24 +168,14 @@ impl BitProvider for FsProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        // Poll the file's mtime/generation; the probe costs one RTT.
+        // Poll the file's mtime/generation.
         let pinned = self.fs.stat(&self.path).ok()?.generation;
-        let fs = self.fs.clone();
-        let path = self.path.clone();
-        let link = self.link.clone();
-        let rtt = self.link.rtt_micros();
-        Some(ClosureVerifier::new(
-            &format!("fs-mtime:{path}"),
-            rtt,
-            move |clock| {
-                if let Err(unverifiable) = probe_link(&link, clock) {
-                    return unverifiable;
-                }
-                match fs.stat(&path) {
-                    Ok(stat) if stat.generation == pinned => Validity::Valid,
-                    _ => Validity::Invalid,
-                }
-            },
+        let (fs, path) = (Arc::clone(&self.fs), Arc::clone(&self.path));
+        Some(PinnedVerifier::boxed(
+            "fs-mtime",
+            &self.path,
+            &self.link,
+            move || fs.stat(&path).is_ok_and(|stat| stat.generation == pinned),
         ))
     }
 
@@ -164,7 +199,7 @@ impl BitProvider for FsProvider {
 /// Bit-provider over a page on a [`WebServer`].
 pub struct WebProvider {
     server: Arc<WebServer>,
-    path: String,
+    path: Arc<str>,
     link: Link,
     revalidate: bool,
 }
@@ -175,7 +210,7 @@ impl WebProvider {
     pub fn new(server: Arc<WebServer>, path: &str, link: Link) -> Arc<Self> {
         Arc::new(Self {
             server,
-            path: path.to_owned(),
+            path: Arc::from(path),
             link,
             revalidate: false,
         })
@@ -188,7 +223,7 @@ impl WebProvider {
     pub fn with_revalidation(server: Arc<WebServer>, path: &str, link: Link) -> Arc<Self> {
         Arc::new(Self {
             server,
-            path: path.to_owned(),
+            path: Arc::from(path),
             link,
             revalidate: true,
         })
@@ -228,24 +263,14 @@ impl BitProvider for WebProvider {
         if self.revalidate {
             // Conditional GET pinned to the current revision: a 304 keeps
             // the entry, anything newer forces a refill through the full
-            // property path. The probe costs one round trip.
+            // property path.
             let pinned = self.server.revision(&self.path)?;
-            let server = self.server.clone();
-            let path = self.path.clone();
-            let link = self.link.clone();
-            let rtt = self.link.rtt_micros();
-            return Some(ClosureVerifier::new(
-                &format!("http-revalidate:{path}"),
-                rtt,
-                move |clock| {
-                    if let Err(unverifiable) = probe_link(&link, clock) {
-                        return unverifiable;
-                    }
-                    match server.conditional_get(&path, pinned) {
-                        Ok(None) => Validity::Valid,
-                        _ => Validity::Invalid,
-                    }
-                },
+            let (server, path) = (Arc::clone(&self.server), Arc::clone(&self.path));
+            return Some(PinnedVerifier::boxed(
+                "http-revalidate",
+                &self.path,
+                &self.link,
+                move || matches!(server.conditional_get(&path, pinned), Ok(None)),
             ));
         }
         // The only consistency a 1999 web server grants otherwise is the
@@ -267,7 +292,7 @@ impl BitProvider for WebProvider {
 /// Bit-provider over an item in a [`Dms`].
 pub struct DmsProvider {
     dms: Arc<Dms>,
-    key: String,
+    key: Arc<str>,
     holder: String,
     link: Link,
 }
@@ -277,7 +302,7 @@ impl DmsProvider {
     pub fn new(dms: Arc<Dms>, key: &str, holder: &str, link: Link) -> Arc<Self> {
         Arc::new(Self {
             dms,
-            key: key.to_owned(),
+            key: Arc::from(key),
             holder: holder.to_owned(),
             link,
         })
@@ -290,7 +315,7 @@ impl DmsProvider {
     pub fn wire_invalidations(&self, bus: Arc<InvalidationBus>, doc: DocumentId) {
         let key = self.key.clone();
         self.dms.subscribe(move |changed, _version| {
-            if changed == key {
+            if changed == &*key {
                 bus.post(Invalidation::Document(doc));
             }
         });
@@ -330,25 +355,15 @@ impl BitProvider for DmsProvider {
     }
 
     fn make_verifier(&self, _clock: &VirtualClock) -> Option<Box<dyn Verifier>> {
-        // Pin the current version; the probe costs one RTT. When
-        // `wire_invalidations` is used instead, callers may drop this.
+        // Pin the current version. When `wire_invalidations` is used
+        // instead, callers may drop this.
         let pinned = self.dms.latest_version(&self.key).ok()?;
-        let dms = self.dms.clone();
-        let key = self.key.clone();
-        let link = self.link.clone();
-        let rtt = self.link.rtt_micros();
-        Some(ClosureVerifier::new(
-            &format!("dms-version:{key}"),
-            rtt,
-            move |clock| {
-                if let Err(unverifiable) = probe_link(&link, clock) {
-                    return unverifiable;
-                }
-                match dms.latest_version(&key) {
-                    Ok(v) if v == pinned => Validity::Valid,
-                    _ => Validity::Invalid,
-                }
-            },
+        let (dms, key) = (Arc::clone(&self.dms), Arc::clone(&self.key));
+        Some(PinnedVerifier::boxed(
+            "dms-version",
+            &self.key,
+            &self.link,
+            move || dms.latest_version(&key).is_ok_and(|v| v == pinned),
         ))
     }
 
@@ -434,6 +449,44 @@ mod tests {
         let mut stream = provider.open_input(&clock).unwrap();
         assert!(clock.now().since(t0) >= 1_000, "link RTT charged");
         assert_eq!(read_all(stream.as_mut()).unwrap(), "file body");
+    }
+
+    #[test]
+    fn descriptions_are_pinned() {
+        let clock = VirtualClock::new();
+        let fs = MemFs::new(clock.clone());
+        fs.create("/doc", "v1");
+        let server = WebServer::new("parcweb");
+        server.publish("/p", "page", 10_000);
+        let dms = Dms::new();
+        dms.import("spec", "v1");
+        let providers: [(Arc<dyn BitProvider>, &str, &str); 4] = [
+            (
+                FsProvider::new(fs, "/doc", lan()),
+                "fs:/doc",
+                "fs-mtime:/doc",
+            ),
+            (
+                WebProvider::new(server.clone(), "/p", lan()),
+                "http://parcweb/p",
+                "ttl(expires@10000µs)",
+            ),
+            (
+                WebProvider::with_revalidation(server, "/p", lan()),
+                "http://parcweb/p",
+                "http-revalidate:/p",
+            ),
+            (
+                DmsProvider::new(dms, "spec", "placeless", lan()),
+                "dms:spec",
+                "dms-version:spec",
+            ),
+        ];
+        for (provider, described, verifier) in providers {
+            assert_eq!(provider.describe(), described);
+            let made = provider.make_verifier(&clock).unwrap();
+            assert_eq!(made.describe(), verifier);
+        }
     }
 
     #[test]

@@ -26,6 +26,9 @@ cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 echo "==> E-FAULT smoke (availability table under a scripted outage)"
 cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- fault
 
+echo "==> E-RP smoke (all seven replacement policies at three capacities)"
+cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- replacement
+
 echo "==> E-STAGE smoke (staged-plan partial hits + lease >=2x gate,"
 echo "    zero-copy probe, 4 MiB big-doc smoke; writes BENCH_stage.json)"
 cargo run -q --release "${CARGO_FLAGS[@]}" -p placeless-bench --bin experiments -- stage

@@ -1,15 +1,18 @@
 //! Property-based tests over the caching layer: the shared store against a
 //! reference model, replacement-policy contracts under random operation
-//! sequences, GDS invariants, the document index under eviction and
+//! sequences, every policy's victim order against a naive model of its
+//! rank, GDS invariants, the document index under eviction and
 //! invalidation, and the simulation substrate.
 
 use bytes::Bytes;
 use placeless_cache::keys::SharedStore;
 use placeless_cache::policy::{
-    by_name, EntryAttrs, EntryKey, GreedyDualSize, ReplacementPolicy, ALL_POLICIES,
+    by_name, Classic, EntryAttrs, EntryKey, Fifo, GdsFrequency, GreedyDual, GreedyDualSize, Lfu,
+    Lru, ReplacementPolicy, SizePolicy, ALL_POLICIES, STAGE_COST_DISCOUNT, STAGE_PIN_LEVEL,
 };
 use placeless_cache::{CacheConfig, DocumentCache, WriteMode};
 use placeless_core::bitprovider::MemoryProvider;
+use placeless_core::digest::md5;
 use placeless_core::id::{DocumentId, UserId};
 use placeless_core::notifier::Invalidation;
 use placeless_core::space::{DocumentSpace, Scope};
@@ -17,6 +20,7 @@ use placeless_proplang::{ExtEnv, ScriptProperty};
 use placeless_simenv::trace::{WorkloadBuilder, ZipfSampler};
 use placeless_simenv::{SimRng, VirtualClock};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -218,6 +222,227 @@ proptest! {
             let v = rng.next_range(lo, hi);
             prop_assert!((lo..=hi).contains(&v));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every policy evicts exactly the victims a naive scan of its
+    /// documented rank picks, under inserts and re-inserts of final and
+    /// stage entries of mixed sizes and costs, hits on tracked and
+    /// untracked keys, removals and evictions. After every step the policy
+    /// holds exactly one heap node per tracked key.
+    #[test]
+    fn policies_evict_in_documented_rank_order(
+        ops in proptest::collection::vec(oracle_op_strategy(), 0..300),
+    ) {
+        for name in ALL_POLICIES {
+            let mut policy = probed(name);
+            prop_assert_eq!(policy.name(), by_name(name).unwrap().name());
+            let mut model = RankModel::new(name);
+            for op in &ops {
+                match *op {
+                    OracleOp::Insert(key, attrs) => {
+                        policy.on_insert(key, &attrs);
+                        model.insert(key, &attrs);
+                    }
+                    OracleOp::Hit(key) => {
+                        policy.on_hit(key);
+                        model.hit(key);
+                    }
+                    OracleOp::Remove(key) => {
+                        policy.on_remove(key);
+                        model.tracked.remove(&key);
+                    }
+                    OracleOp::Evict => {
+                        prop_assert_eq!(policy.evict(), model.evict(), "{} after {:?}", name, op);
+                    }
+                }
+                prop_assert_eq!(policy.len(), model.tracked.len(), "{}", name);
+                prop_assert_eq!(policy.heap_nodes(), policy.len(), "{} after {:?}", name, op);
+            }
+            loop {
+                let victim = model.evict();
+                prop_assert_eq!(policy.evict(), victim, "{}: drain", name);
+                if victim.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(policy.heap_nodes(), 0, "{}", name);
+        }
+    }
+}
+
+/// Operations the order oracle replays against a policy and its model.
+#[derive(Debug, Clone, Copy)]
+enum OracleOp {
+    Insert(EntryKey, EntryAttrs),
+    Hit(EntryKey),
+    Remove(EntryKey),
+    Evict,
+}
+
+/// Final versions of eight documents for three users (24 keys) and four
+/// stage outputs.
+fn oracle_key_strategy() -> impl Strategy<Value = EntryKey> {
+    (0u64..28).prop_map(|i| match i {
+        0..=23 => EntryKey::Version(DocumentId(i / 3), UserId(i % 3)),
+        _ => EntryKey::Stage(md5(&[i as u8])),
+    })
+}
+
+/// Three inserts and three hits to each removal and two evictions. Sizes
+/// and costs come from small sets, so credits and sizes tie often and the
+/// tiebreaks are exercised; stage entries carry the stage pin level, as
+/// the cache tags them.
+fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
+    let size = prop_oneof![Just(0u64), Just(64), Just(128), 1u64..5_000];
+    let cost = prop_oneof![Just(1.0), (1u32..8).prop_map(|c| f64::from(c) * 250.0)];
+    (0u8..9, oracle_key_strategy(), size, cost).prop_map(|(pick, key, size, cost)| match pick {
+        0..=2 => {
+            let pin = if key.is_stage() { STAGE_PIN_LEVEL } else { 0 };
+            OracleOp::Insert(key, EntryAttrs::new(size, cost).with_pin_level(pin))
+        }
+        3..=5 => OracleOp::Hit(key),
+        6 => OracleOp::Remove(key),
+        _ => OracleOp::Evict,
+    })
+}
+
+/// A policy under the order oracle, with its heap node count.
+trait Probed: ReplacementPolicy {
+    fn heap_nodes(&self) -> usize;
+}
+
+impl<const FREQUENCY: bool> Probed for GreedyDual<FREQUENCY> {
+    fn heap_nodes(&self) -> usize {
+        GreedyDual::heap_nodes(self)
+    }
+}
+
+impl<const RULE: u8> Probed for Classic<RULE> {
+    fn heap_nodes(&self) -> usize {
+        Classic::heap_nodes(self)
+    }
+}
+
+/// Builds the named policy as [`by_name`] does, keeping its node count
+/// readable.
+fn probed(name: &str) -> Box<dyn Probed> {
+    match name {
+        "gds" => Box::new(GreedyDualSize::new()),
+        "gd1" => Box::new(GreedyDualSize::cost_blind()),
+        "gdsf" => Box::new(GdsFrequency::new()),
+        "lru" => Box::new(Lru::new()),
+        "lfu" => Box::new(Lfu::new()),
+        "size" => Box::new(SizePolicy::new()),
+        "fifo" => Box::new(Fifo::new()),
+        other => panic!("{other}: give the order oracle a model of its rank"),
+    }
+}
+
+/// What the naive model remembers of one tracked key. Ticks count every
+/// insert and hit, tracked or not.
+struct Tracked {
+    /// Tick of the first insert since the key last entered.
+    first: u64,
+    /// Tick of the latest insert.
+    inserted: u64,
+    /// Tick of the latest insert or hit.
+    touched: u64,
+    /// Accesses since the latest insert.
+    count: u64,
+    /// Accesses since the key last entered (GDSF's frequency).
+    frequency: u64,
+    size: u64,
+    cost: f64,
+    /// The Greedy-Dual credit `H` as of the latest insert or hit.
+    credit: f64,
+}
+
+/// A naive model of each policy's documented rank: victims are found by
+/// scanning every tracked key.
+struct RankModel {
+    name: &'static str,
+    tracked: HashMap<EntryKey, Tracked>,
+    tick: u64,
+    inflation: f64,
+}
+
+impl RankModel {
+    fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            tracked: HashMap::new(),
+            tick: 0,
+            inflation: 0.0,
+        }
+    }
+
+    /// GDS and GD(1) count one access whatever the hits; GD(1) costs 1.
+    fn credit(&self, t: &Tracked) -> f64 {
+        let frequency = if self.name == "gdsf" { t.frequency } else { 1 };
+        self.inflation + frequency as f64 * t.cost / t.size.max(1) as f64
+    }
+
+    fn insert(&mut self, key: EntryKey, attrs: &EntryAttrs) {
+        self.tick += 1;
+        let cost = if self.name == "gd1" {
+            1.0
+        } else if attrs.pin_level == STAGE_PIN_LEVEL {
+            attrs.cost * STAGE_COST_DISCOUNT
+        } else {
+            attrs.cost
+        };
+        let prior = self.tracked.get(&key);
+        let mut t = Tracked {
+            first: prior.map_or(self.tick, |t| t.first),
+            inserted: self.tick,
+            touched: self.tick,
+            count: 1,
+            frequency: prior.map_or(1, |t| t.frequency),
+            size: attrs.size,
+            cost,
+            credit: 0.0,
+        };
+        t.credit = self.credit(&t);
+        self.tracked.insert(key, t);
+    }
+
+    fn hit(&mut self, key: EntryKey) {
+        self.tick += 1;
+        let Some(mut t) = self.tracked.remove(&key) else {
+            return;
+        };
+        t.touched = self.tick;
+        t.count += 1;
+        t.frequency += 1;
+        t.credit = self.credit(&t);
+        self.tracked.insert(key, t);
+    }
+
+    /// Compares two tracked keys by the policy's rank; the lower goes first.
+    fn order(&self, a: &Tracked, b: &Tracked) -> Ordering {
+        match self.name {
+            "gds" | "gd1" | "gdsf" => a
+                .credit
+                .total_cmp(&b.credit)
+                .then(a.touched.cmp(&b.touched)),
+            "lru" => a.touched.cmp(&b.touched),
+            "lfu" => (a.count, a.touched).cmp(&(b.count, b.touched)),
+            "size" => b.size.cmp(&a.size).then(a.inserted.cmp(&b.inserted)),
+            "fifo" => a.first.cmp(&b.first),
+            other => panic!("{other}: no documented rank"),
+        }
+    }
+
+    fn evict(&mut self) -> Option<EntryKey> {
+        let victim = *self.tracked.iter().min_by(|a, b| self.order(a.1, b.1))?.0;
+        let evicted = self.tracked.remove(&victim).expect("victim is tracked");
+        // Greedy-Dual inflation rises to the evicted credit.
+        self.inflation = self.inflation.max(evicted.credit);
+        Some(victim)
     }
 }
 
