@@ -110,14 +110,25 @@ impl JournalRecord {
         placeless_core::op::rebasable(&self.ops)
     }
 
-    fn encode(&self) -> Vec<u8> {
+    /// Encodes the whole frame, returning it with its checksum.
+    fn encode(&self) -> (Vec<u8>, Signature) {
+        let mut out = Vec::new();
+        self.encode_body(&mut out);
+        let check = md5(&out);
+        out.extend_from_slice(&check.0);
+        (out, check)
+    }
+
+    /// Appends the part of the frame the checksum covers (header, op
+    /// section and payload) to `out`.
+    fn encode_body(&self, out: &mut Vec<u8>) {
         let plain = self.ops.is_empty() && self.writer_seq == 0;
         let ops_wire = if plain {
             Vec::new()
         } else {
             encode_ops(&self.ops)
         };
-        let mut out = Vec::with_capacity(
+        out.reserve(
             HEADER_LEN
                 + if plain {
                     0
@@ -142,15 +153,12 @@ impl JournalRecord {
             out.extend_from_slice(&ops_wire);
         }
         out.extend_from_slice(&self.data);
-        let check = md5(&out);
-        out.extend_from_slice(&check.0);
-        out
     }
 
     /// Decodes one record starting at `bytes[offset..]`. Returns the
-    /// record and the offset past it, or `None` if the bytes are torn
-    /// (incomplete) or fail their checksum.
-    fn decode(bytes: &[u8], offset: usize) -> Option<(Self, usize)> {
+    /// record, its checksum and the offset past it, or `None` if the
+    /// bytes are torn (incomplete) or fail their checksum.
+    fn decode(bytes: &[u8], offset: usize) -> Option<(Self, Signature, usize)> {
         let rest = bytes.get(offset..)?;
         if rest.len() < HEADER_LEN + CHECK_LEN {
             return None;
@@ -202,6 +210,7 @@ impl JournalRecord {
                 ops,
                 writer_seq,
             },
+            Signature(stored),
             offset + total,
         ))
     }
@@ -223,7 +232,9 @@ pub struct ReplayOutcome {
 #[derive(Debug, Default)]
 struct JournalState {
     next_seq: u64,
-    live: BTreeMap<u64, JournalRecord>,
+    /// Live records by seq, each with its frame's checksum so compaction
+    /// rewrites the frame without hashing it again.
+    live: BTreeMap<u64, (JournalRecord, Signature)>,
     by_key: HashMap<(DocumentId, UserId), u64>,
     appends: u64,
 }
@@ -232,12 +243,19 @@ impl JournalState {
     /// Inserts `record` as the live write for its key, superseding any
     /// earlier one (the stale bytes stay on the medium until the next
     /// compaction; replay deduplicates by key).
-    fn insert(&mut self, record: JournalRecord) {
+    fn insert(&mut self, record: JournalRecord, check: Signature) {
         let key = (record.doc, record.user);
         if let Some(old) = self.by_key.insert(key, record.seq) {
             self.live.remove(&old);
         }
-        self.live.insert(record.seq, record);
+        self.live.insert(record.seq, (record, check));
+    }
+
+    fn live_records(&self) -> Vec<JournalRecord> {
+        self.live
+            .values()
+            .map(|(record, _)| record.clone())
+            .collect()
     }
 }
 
@@ -262,10 +280,10 @@ impl WriteJournal {
         let mut state = JournalState::default();
         let mut outcome = ReplayOutcome::default();
         let mut offset = 0;
-        while let Some((record, next)) = JournalRecord::decode(&image, offset) {
+        while let Some((record, check, next)) = JournalRecord::decode(&image, offset) {
             outcome.scanned += 1;
             state.next_seq = state.next_seq.max(record.seq + 1);
-            state.insert(record);
+            state.insert(record, check);
             offset = next;
         }
         if offset < image.len() {
@@ -273,7 +291,7 @@ impl WriteJournal {
             outcome.truncated = true;
             store.truncate(offset as u64);
         }
-        outcome.records = state.live.values().cloned().collect();
+        outcome.records = state.live_records();
         (
             Self {
                 store,
@@ -338,8 +356,9 @@ impl WriteJournal {
             ops,
             writer_seq,
         };
-        self.store.append(&record.encode());
-        state.insert(record);
+        let (frame, check) = record.encode();
+        self.store.append(&frame);
+        state.insert(record, check);
         state.appends += 1;
         seq
     }
@@ -357,12 +376,14 @@ impl WriteJournal {
     /// — the grouped-flush counterpart of [`WriteJournal::ack`], which
     /// rewrites the medium per record. Sequence numbers that were
     /// superseded by a newer write (or already acknowledged) are skipped
-    /// exactly as in `ack`. Returns how many records were live.
+    /// exactly as in `ack`. Compaction rewrites each surviving frame
+    /// with the checksum kept since its append (or recovery), so it hashes
+    /// nothing. Returns how many records were live.
     pub fn ack_batch(&self, seqs: &[u64]) -> usize {
         let mut state = self.state.lock();
         let mut removed = 0;
         for &seq in seqs {
-            let Some(record) = state.live.remove(&seq) else {
+            let Some((record, _)) = state.live.remove(&seq) else {
                 continue;
             };
             let key = (record.doc, record.user);
@@ -375,8 +396,9 @@ impl WriteJournal {
             return 0;
         }
         let mut image = Vec::new();
-        for live in state.live.values() {
-            image.extend_from_slice(&live.encode());
+        for (record, check) in state.live.values() {
+            record.encode_body(&mut image);
+            image.extend_from_slice(&check.0);
         }
         self.store.overwrite(&image);
         removed
@@ -389,7 +411,7 @@ impl WriteJournal {
 
     /// Returns the live records in sequence order.
     pub fn live_records(&self) -> Vec<JournalRecord> {
-        self.state.lock().live.values().cloned().collect()
+        self.state.lock().live_records()
     }
 
     /// Returns how many records are live (unacknowledged).
@@ -416,6 +438,28 @@ mod tests {
     const DOC: DocumentId = DocumentId(7);
     const ALICE: UserId = UserId(1);
     const BOB: UserId = UserId(2);
+
+    /// Asserts that the medium holds exactly a from-scratch encoding of
+    /// the live records in seq order: what compaction must leave behind.
+    fn assert_medium_is_fresh_encoding(journal: &WriteJournal) {
+        let fresh: Vec<u8> = journal
+            .live_records()
+            .iter()
+            .flat_map(|record| record.encode().0)
+            .collect();
+        assert_eq!(journal.store().contents(), fresh);
+    }
+
+    /// Asserts that reopening a copy of the medium recovers exactly the
+    /// journal's live set.
+    fn assert_reopen_recovers_live_set(journal: &WriteJournal) {
+        let copy = StableStore::new();
+        copy.append(&journal.store().contents());
+        let (reopened, outcome) = WriteJournal::open(copy);
+        assert!(!outcome.truncated);
+        assert_eq!(outcome.records, journal.live_records());
+        assert_eq!(reopened.live_records(), journal.live_records());
+    }
 
     #[test]
     fn append_ack_roundtrip() {
@@ -448,6 +492,8 @@ mod tests {
         );
         assert_eq!(journal.len(), 1);
         assert_eq!(journal.seq_for(DocumentId(8), ALICE), Some(keep));
+        assert_medium_is_fresh_encoding(&journal);
+        assert_reopen_recovers_live_set(&journal);
         assert_eq!(journal.ack_batch(&[a, b]), 0, "double batch ack is a no-op");
         assert_eq!(
             journal.store().rewrite_count(),
@@ -511,6 +557,12 @@ mod tests {
             "the medium was truncated back to the intact prefix"
         );
         assert_eq!(recovered.len(), 1);
+
+        // The recovered record carries its checksum into compaction.
+        let acked = recovered.append(DocumentId(9), BOB, NO_EPOCH, b"flushed");
+        assert!(recovered.ack(acked));
+        assert_medium_is_fresh_encoding(&recovered);
+        assert_reopen_recovers_live_set(&recovered);
     }
 
     #[test]
@@ -616,5 +668,64 @@ mod tests {
         assert_eq!(outcome.records.len(), 2);
         assert_eq!(outcome.records[0].data.len(), 0);
         assert_eq!(outcome.records[1].data, big.as_slice());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random appends (plain and op-carrying), supersedes and batch
+        /// acks, with a crash that tears the last append midway: after
+        /// every compaction the medium is a from-scratch encoding of the
+        /// live records, recovered records included, and reopening it
+        /// recovers the same live set.
+        #[test]
+        fn compaction_matches_a_fresh_encoding(
+            steps in proptest::collection::vec((0u8..4, 0u64..4, 0usize..96), 1..48),
+            crash_at in 0usize..48,
+        ) {
+            let store = StableStore::new();
+            let mut journal = WriteJournal::new(store.clone());
+            let mut issued = Vec::new();
+            for (i, &(kind, key, len)) in steps.iter().enumerate() {
+                let (doc, user) = (DocumentId(key % 2), UserId(key / 2));
+                let data: Vec<u8> = (0..len).map(|b| (b as u8) ^ (i as u8)).collect();
+                match kind {
+                    0 => issued.push(journal.append(doc, user, md5(&data), &data)),
+                    1 => issued.push(journal.append_op(
+                        doc,
+                        user,
+                        NO_EPOCH,
+                        &data,
+                        vec![DocOp::Append(Bytes::from(data.clone()))],
+                        i as u64 + 1,
+                    )),
+                    _ => {
+                        // Ack a pseudo-random subset of the seqs issued
+                        // so far: some live, some superseded, some acked.
+                        let picked: Vec<u64> =
+                            issued.iter().copied().filter(|seq| !(seq + len as u64).is_multiple_of(3)).collect();
+                        if journal.ack_batch(&picked) > 0 {
+                            assert_medium_is_fresh_encoding(&journal);
+                        }
+                    }
+                }
+                if i == crash_at {
+                    let before = store.len();
+                    journal.append(DocumentId(5), UserId(5), NO_EPOCH, &data);
+                    store.tear_tail((store.len() - before) / 2 + 1);
+                    drop(journal);
+                    let (recovered, outcome) = WriteJournal::open(store.clone());
+                    proptest::prop_assert!(outcome.truncated);
+                    journal = recovered;
+                }
+            }
+            // Force a final compaction and check it and the reopen.
+            let live = journal.live_records();
+            if let Some(first) = live.first() {
+                proptest::prop_assert!(journal.ack(first.seq));
+                assert_medium_is_fresh_encoding(&journal);
+            }
+            assert_reopen_recovers_live_set(&journal);
+        }
     }
 }

@@ -20,6 +20,9 @@ cargo build --release "${CARGO_FLAGS[@]}" --workspace
 echo "==> cargo test"
 cargo test -q "${CARGO_FLAGS[@]}" --workspace
 
+echo "==> bench smoke (every criterion bench binary runs one iteration)"
+cargo test --release --offline --benches -p placeless-bench
+
 echo "==> fault matrix (resilience + fault-injection suite)"
 cargo test -q "${CARGO_FLAGS[@]}" --test fault_matrix
 
